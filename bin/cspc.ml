@@ -349,8 +349,8 @@ let cmd_graph_abstract ~model ~n ~max_states output =
     close_out oc;
     Printf.printf "wrote %s\n" f
 
-let cmd_graph path name max_states nat_bound output jobs use_compiled relaxed
-    abstract model fam_n telemetry =
+let cmd_graph path name max_states nat_bound output jobs use_compiled abstract
+    model fam_n telemetry =
   with_telemetry "graph" telemetry @@ fun () ->
   match abstract with
   | Some "counter" -> cmd_graph_abstract ~model ~n:fam_n ~max_states output
@@ -371,15 +371,13 @@ let cmd_graph path name max_states nat_bound output jobs use_compiled relaxed
   let eng = engine ~domains:jobs file ~nat_bound in
   let t0 = Obs.now_ns () in
   let compiled =
-    (* compile exactly as many rows as the exploration may visit;
-       relaxed mode bypasses the automaton, so skip the compile *)
-    if use_compiled && not relaxed then
-      Some (Engine.compile ~budget:max_states eng p)
+    (* compile exactly as many rows as the exploration may visit *)
+    if use_compiled then Some (Engine.compile ~budget:max_states eng p)
     else None
   in
   let t1 = Obs.now_ns () in
   let lts =
-    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled ~relaxed
+    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled
       (Engine.step_config eng) p
   in
   report_phase_ms telemetry "graph"
@@ -830,16 +828,6 @@ let graph_cmd =
   let max_states =
     Arg.(value & opt int 2000 & info [ "max-states" ] ~doc:"State bound")
   in
-  let relaxed =
-    Arg.(
-      value & flag
-      & info [ "relaxed" ]
-          ~doc:
-            "Relaxed parallel exploration: workers explore autonomously and \
-             state numbering varies run to run (same state/transition sets, \
-             checked against deterministic mode by the test oracle).  Only \
-             meaningful with --jobs > 1.")
-  in
   let abstract =
     Arg.(
       value
@@ -867,7 +855,7 @@ let graph_cmd =
              with --abstract counter, graph a family's abstract quotient")
     Term.(
       const cmd_graph $ opt_path_arg $ opt_name $ max_states $ nat_arg $ out
-      $ jobs_arg $ compiled_arg $ relaxed $ abstract $ model_arg $ fam_n
+      $ jobs_arg $ compiled_arg $ abstract $ model_arg $ fam_n
       $ telemetry_arg)
 
 let refusals_cmd =

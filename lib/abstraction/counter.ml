@@ -11,6 +11,7 @@ module Defs = Csp_lang.Defs
 module Proc = Csp_lang.Proc
 module Step = Csp_semantics.Step
 module Lts = Csp_semantics.Lts
+module Compiled = Csp_semantics.Compiled
 module Obs = Csp_obs.Obs
 
 type family = {
@@ -314,65 +315,40 @@ let initial_signature (fam : family) ~n =
   let ec = fresh_ectx fam in
   render ec (initial_state ec fam ~n)
 
+(* The one explorer ({!Csp_semantics.Compiled}) with abstract
+   successors: each abstract state is keyed by the interned [Ref] node
+   naming its rendering, and [astates] maps the key back.  Rendering
+   numbers local states as a side effect, so successors are rendered
+   in order, as they are generated. *)
 let explore ?(max_states = 4000) ?(bound = 2) ?(unfold_fuel = 64)
     (fam : family) ~n =
   if fam.cutoff < 1 then invalid_arg "Counter.explore: cutoff must be >= 1";
   let cfg = Step.config ~unfold_fuel fam.defs in
   let offers = offers_fn ~bound ~unfold_fuel cfg in
   let ec = fresh_ectx fam in
-  let init = initial_state ec fam ~n in
-  let visited : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let states_rev = ref [] in
-  let n_states = ref 0 in
-  let truncated_ids = Hashtbl.create 8 in
-  let transitions_rev = ref [] in
-  let queue = Queue.create () in
-  let alloc st =
-    let key = render ec st in
-    match Hashtbl.find_opt visited key with
-    | Some i -> Some i
-    | None ->
-      if !n_states >= max_states then None
-      else begin
-        let i = !n_states in
-        incr n_states;
-        Hashtbl.add visited key i;
-        states_rev := Process.Ref (key, None) :: !states_rev;
-        Queue.add (st, i) queue;
-        Some i
-      end
+  let astates : (int, astate) Hashtbl.t = Hashtbl.create 256 in
+  let key st =
+    let k = Proc.ref_ (render ec st) None in
+    Hashtbl.replace astates (Proc.id k) st;
+    k
   in
-  (match alloc init with
-  | Some 0 -> ()
-  | _ -> assert false);
-  while not (Queue.is_empty queue) do
-    let st, src = Queue.pop queue in
-    List.iter
-      (fun (ev, st') ->
-        match alloc st' with
-        | Some tgt ->
-          transitions_rev :=
-            { Lts.source = src; event = ev; visible = true; target = tgt }
-            :: !transitions_rev
-        | None -> Hashtbl.replace truncated_ids src true)
-      (successors ec offers fam.sync_bases st)
-  done;
-  let states = Array.of_list (List.rev !states_rev) in
-  let truncated =
-    Array.init (Array.length states) (fun i -> Hashtbl.mem truncated_ids i)
+  let successors k =
+    List.map
+      (fun (ev, st') -> (ev, Step.Visible, key st'))
+      (successors ec offers fam.sync_bases (Hashtbl.find astates (Proc.id k)))
   in
-  let complete = Hashtbl.length truncated_ids = 0 in
   let lts =
-    Lts.make ~truncated ~initial:0 ~states
-      ~transitions:(List.rev !transitions_rev)
-      ~complete ()
+    Lts.of_raw
+      (Compiled.explore ~max_states ~successors cfg
+         (key (initial_state ec fam ~n)))
   in
-  Obs.Counter.add c_states !n_states;
+  let quotient_states = Lts.num_states lts in
+  Obs.Counter.add c_states quotient_states;
   Obs.Counter.add c_collapses ec.collapses;
   {
     lts;
     legend = List.rev ec.legend_rev;
-    quotient_states = !n_states;
+    quotient_states;
     omega_collapses = ec.collapses;
   }
 

@@ -29,11 +29,12 @@
     [abstract-sound] oracle checks the inclusion against small
     concrete instances.
 
-    The result is an ordinary {!Csp_semantics.Lts.t} built with
-    [Lts.make] — states are rendered as synthetic [Ref] names like
-    [⟨c0 | s1^2 s3^ω⟩] so DOT output, deadlock queries and signatures
-    work unchanged; the [legend] maps the local-state numbers in those
-    names back to process terms. *)
+    The result is an ordinary {!Csp_semantics.Lts.t}, built by the one
+    exploration loop ({!Csp_semantics.Compiled.explore}) with abstract
+    successors — states are rendered as synthetic [Ref] names like
+    [⟨c0 | s1^2 s3^ω⟩] so DOT output, deadlock queries and truncation
+    at [max_states] work unchanged; the [legend] maps the local-state
+    numbers in those names back to process terms. *)
 
 type family = {
   name : string;
@@ -73,7 +74,8 @@ val explore :
 (** Breadth-first exploration of the abstract state space at family
     parameter [n] (defaults: [max_states = 4000], value-enumeration
     [bound = 2], [unfold_fuel = 64]).  Deterministic: state numbering
-    and the legend follow BFS discovery order.
+    and the legend follow BFS discovery order.  Counts toward
+    [lts.states]/[lts.layers] like any exploration.
     @raise Invalid_argument if a template is not sequential.
     @raise Csp_semantics.Step.Unproductive on unguarded templates. *)
 

@@ -70,6 +70,9 @@ type class_outcome = {
       (** the class also contains every satisfying value above the
           enumeration bound *)
   abstract_states : int;
+  complete : bool;
+      (** the abstract exploration finished within [max_states]; a
+          truncated class with no violation is inconclusive *)
   checked : (int, Csp_trace.Trace.t * string) result;
       (** [Ok traces_checked], or the offending abstract trace and the
           violated invariant *)
@@ -80,7 +83,9 @@ type outcome = {
   param : string;
   depth : int;
   classes : class_outcome list;
-  certified : bool;  (** every class checked [Ok] *)
+  certified : bool;
+      (** every class [complete] and checked [Ok]: the invariants hold
+          on every abstract trace of length ≤ [depth] *)
 }
 
 val check_family :
@@ -91,7 +96,9 @@ val check_family :
   (outcome, string) result
 (** Verify every invariant of the family on every abstract trace of
     length ≤ [depth] (default 6), once per assignment class of the
-    formula.  [Error] when the formula mentions a parameter other than
+    formula, each class explored up to [max_states] abstract states
+    (default 4000).  A class cut at that bound can refute but not
+    certify.  [Error] when the formula mentions a parameter other than
     the family's, when no instance satisfies it, or when the family
     has no invariants.  Obs counters:
     [abstraction.family_checks], [abstraction.classes] (and the

@@ -8,9 +8,8 @@
     1-domain pool a zero-cost way to share one code path between the
     sequential and parallel engines.
 
-    Batches are fork-join barriers: a call to {!parallel_map} (or
-    {!map_chunks}, {!run}) returns only once every task of the batch
-    has finished, and results are delivered in input order regardless
+    Batches are fork-join barriers: a call to {!parallel_map} returns
+    only once every task of the batch has finished, and results are delivered in input order regardless
     of which domain executed which task.  Tasks of one batch are
     claimed dynamically (an atomic cursor over the task array), so
     uneven task costs balance themselves; there is no preemption or
@@ -51,17 +50,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     per element, and returns the results in input order.  If any task
     raises, the batch still runs to completion and the exception of
     the lowest-indexed failing task is re-raised in the caller. *)
-
-val map_chunks : t -> ?chunk_size:int -> ('a array -> 'b) -> 'a array -> 'b array
-(** Chunked fork-join: split [xs] into contiguous chunks of at most
-    [chunk_size] elements (default: [length / (4 * domains)], at least
-    1), apply [f] to each chunk as one task, and return the per-chunk
-    results in chunk order.  Use when per-element work is small or when
-    each task wants chunk-local state (e.g. a domain-local cache view
-    merged at the join). *)
-
-val run : t -> (unit -> 'a) list -> 'a list
-(** Fork-join over explicit thunks, results in input order. *)
 
 (** {1 Parallel-phase hooks}
 
@@ -116,51 +104,28 @@ end
     pusher).
 
     While a session is open the pool must not run batches
-    ({!parallel_map} and friends) — the spawned workers are occupied
+    ({!parallel_map}) — the spawned workers are occupied
     by the session's driver loops.  The caller coordinates from its
     own domain and closes the session with {!stealing_stop}. *)
 
 type 'a stealing
 
 val stealing_start :
-  t ->
-  ?auto_stop:bool ->
-  (worker:int -> push:('a -> unit) -> 'a -> unit) ->
-  'a stealing
+  t -> (worker:int -> push:('a -> unit) -> 'a -> unit) -> 'a stealing
 (** Open a session on the pool, starting one driver loop per spawned
-    worker ([domains - 1] of them; a 1-domain pool starts none and
-    relies on {!stealing_participate}).  [worker] ranges over
-    [0 .. domains - 1]; the caller participates as [domains - 1].
-
-    With [~auto_stop:true] the session stops itself when every pushed
-    item has been processed (exact quiescence: pushes count the item
-    before it becomes visible, processing decrements after the
-    handler — and everything it pushed — is accounted).  Exceptions
-    raised by [f] are then re-raised at {!stealing_stop}; without
-    [auto_stop] the session is speculative and exceptions in [f] are
-    swallowed (the coordinator is expected to re-derive
-    authoritatively). *)
+    worker ([domains - 1] of them; a 1-domain pool starts none).
+    [worker] ranges over [0 .. domains - 2].  Sessions are
+    speculative: exceptions raised by [f] are swallowed (the
+    coordinator is expected to re-derive authoritatively). *)
 
 val stealing_push : 'a stealing -> 'a -> unit
 (** Seed work from the caller, distributed round-robin over all
-    deques.  In an [auto_stop] session, push at least one item before
-    waiting on termination. *)
-
-val stealing_participate : 'a stealing -> unit
-(** Run the driver loop on the calling domain (as worker
-    [domains - 1]) until the session stops.  This is how [auto_stop]
-    sessions (and 1-domain pools) make the caller's domain work. *)
-
-val stealing_pending : 'a stealing -> int
-(** Items pushed but not yet fully processed (queued plus in-flight) —
-    a racy load of the session's outstanding counter, for load
-    reporting by long-lived hosts such as [cspc serve]. *)
+    deques. *)
 
 val stealing_stop : 'a stealing -> unit
-(** Stop the session (idempotent): signal every driver, wait for the
-    spawned workers to leave their loops, then re-raise the first
-    worker exception if the session was [auto_stop].  Items still
-    queued are discarded. *)
+(** Stop the session (idempotent): signal every driver and wait for the
+    spawned workers to leave their loops.  Items still queued are
+    discarded. *)
 
 (** {1 Statistics}
 

@@ -1,5 +1,4 @@
 module Event = Csp_trace.Event
-module Process = Csp_lang.Process
 module Proc = Csp_lang.Proc
 module Pool = Csp_parallel.Pool
 module Obs = Csp_obs.Obs
@@ -100,7 +99,6 @@ let intern_state t (q : Proc.t) =
     t.row_len.(s) <- 0;
     Int_tbl.add t.cid_of (Proc.id q) s;
     t.n_states <- s + 1;
-    Obs.Counter.incr states_compiled;
     s
 
 (* Pack one state's transition list.  Target interning may assign
@@ -124,12 +122,18 @@ let append_row t s ts =
       t.pk_len <- k + 1)
     ts
 
+(* A row materialised after {!compile} returned: a fallback, and the
+   ids it assigns are compiled states too. *)
+let append_fallback t s ts =
+  t.n_fallbacks <- t.n_fallbacks + 1;
+  Obs.Counter.incr fallback_rows;
+  let before = t.n_states in
+  append_row t s ts;
+  Obs.Counter.add states_compiled (t.n_states - before)
+
 let materialise t s =
-  if t.row_off.(s) < 0 then begin
-    t.n_fallbacks <- t.n_fallbacks + 1;
-    Obs.Counter.incr fallback_rows;
-    append_row t s (Step.transitions_i t.cfg t.nodes.(s))
-  end
+  if t.row_off.(s) < 0 then
+    append_fallback t s (Step.transitions_i t.cfg t.nodes.(s))
 
 let create cfg (root : Proc.t) =
   let t =
@@ -154,28 +158,159 @@ let create cfg (root : Proc.t) =
   ignore (intern_state t root);
   t
 
-let compile ?(budget = 200_000) cfg p =
+(* ---- the explorer ------------------------------------------------------ *)
+
+(* Telemetry (observation only — never read back into exploration). *)
+let layers_explored = Obs.Counter.make "lts.layers"
+let states_numbered = Obs.Counter.make "lts.states"
+
+(* The one exploration loop.  A FIFO over numbered states: [order]
+   (number -> table id) is itself the queue, so states are expanded in
+   discovery order, i.e. BFS layer order.  A state whose row the table
+   lacks gets it from [row] first.  Row targets are numbered in row
+   order until [max_states] states are numbered; then numbering stops.
+   That is the whole definition of truncation — {!project} reads the
+   recorded transitions and the truncated states off the numbering.
+   The root is always numbered.  [count] attributes numbered states
+   and BFS layers to the [lts.*] counters: a compile pass is not an
+   exploration.  Returns the numbering: [order], its length, and
+   [visited] (table id -> number, -1 = unnumbered). *)
+let bfs ~max_states ~count ~row t =
+  let visited = ref (Array.make (max 64 t.n_states) (-1)) in
+  let order = ref (Array.make 64 0) in
+  let n = ref 0 in
+  let number s =
+    (!visited).(s) <- !n;
+    if !n >= Array.length !order then order := grow_int !order (!n + 1) 0;
+    (!order).(!n) <- s;
+    incr n;
+    if count then Obs.Counter.incr states_numbered
+  in
+  number 0;
+  (* a layer starts at the first state numbered after the previous
+     layer filled up *)
+  let head = ref 0 and layer_start = ref 0 and layer_end = ref 1 in
+  while !head < !n do
+    let i = !head in
+    let s = (!order).(i) in
+    incr head;
+    if count && i = !layer_start then Obs.Counter.incr layers_explored;
+    if t.row_off.(s) < 0 then row s;
+    if t.n_states > Array.length !visited then
+      visited := grow_int !visited t.n_states (-1);
+    let k = ref t.row_off.(s) in
+    let stop = !k + t.row_len.(s) in
+    while !k < stop && !n < max_states do
+      if (!visited).(t.pk_target.(!k)) < 0 then number t.pk_target.(!k);
+      incr k
+    done;
+    if i + 1 = !layer_end && !n > !layer_end then begin
+      layer_start := !layer_end;
+      layer_end := !n
+    end
+  done;
+  (!order, !n, !visited)
+
+type raw = {
+  raw_initial : int;
+  raw_states : Proc.t array;
+  raw_transitions : (int * Event.t * bool * int) list;
+  raw_complete : bool;
+  raw_truncated : bool array;
+}
+
+(* The numbered part of the table as an exploration: a row edge is
+   recorded iff both its endpoints are numbered; a numbered state with
+   an edge to an unnumbered target is truncated (it has a move the
+   exploration dropped, so it must not read as a deadlock); the
+   exploration is complete iff no state is truncated. *)
+let project t (order, n, visited) =
+  let truncated = Array.make n false in
+  let transitions = ref [] in
+  for i = n - 1 downto 0 do
+    let off = t.row_off.(order.(i)) in
+    for k = off + t.row_len.(order.(i)) - 1 downto off do
+      let j = visited.(t.pk_target.(k)) in
+      if j >= 0 then
+        transitions :=
+          ( i,
+            t.events.(t.pk_event.(k)),
+            Bytes.get t.pk_visible k <> '\000',
+            j )
+          :: !transitions
+      else truncated.(i) <- true
+    done
+  done;
+  {
+    raw_initial = 0;
+    raw_states = Array.init n (fun i -> t.nodes.(order.(i)));
+    raw_transitions = !transitions;
+    raw_complete = not (Array.exists Fun.id truncated);
+    raw_truncated = truncated;
+  }
+
+(* Rows the table lacks come from [successors] when given, else from
+   the interpreter — at more than one domain through a speculative
+   {!Frontier} session, opened at the first missing row, so a replay
+   over rows that all exist never starts one.  [cap] bounds what
+   speculation may claim. *)
+let with_successors ?pool ?successors ~cap t f =
+  match (successors, pool) with
+  | Some get, _ -> f get
+  | None, Some pool when Pool.domains pool > 1 ->
+    let session = ref None in
+    let get q =
+      let fs =
+        match !session with
+        | Some fs -> fs
+        | None ->
+          let fs = Frontier.start ~pool ~cap t.cfg in
+          session := Some fs;
+          Frontier.prefetch fs q;
+          fs
+      in
+      Frontier.get fs q
+    in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Frontier.stop !session)
+      (fun () -> f get)
+  | None, _ -> f (Step.transitions_i t.cfg)
+
+let run ~max_states ?pool ?successors ~fallback t =
+  with_successors ?pool ?successors ~cap:max_states t @@ fun get ->
+  let row s =
+    let ts = get t.nodes.(s) in
+    if fallback then append_fallback t s ts else append_row t s ts
+  in
+  project t (bfs ~max_states ~count:true ~row t)
+
+let explore ?(max_states = 2000) ?pool ?successors cfg root =
+  Obs.span ~cat:"explore" "explore"
+    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
+  @@ fun () -> run ~max_states ?pool ?successors ~fallback:false (create cfg root)
+
+let explore_raw ?(max_states = 2000) ?pool t =
+  Obs.span ~cat:"explore" "explore-compiled"
+    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
+  @@ fun () -> run ~max_states ?pool ~fallback:true t
+
+(* A compile is the same loop run to [budget] states without counting
+   as an exploration: it materialises the rows of the first [budget]
+   states in BFS order, and assigns ids to their targets. *)
+let compile ?(budget = 200_000) ?pool cfg p =
   Obs.Counter.incr compiles;
   Obs.span ~cat:"compiled" "compile"
     ~args:(fun () -> [ ("budget", Obs.Int budget) ])
   @@ fun () ->
   let t0 = Obs.now_ns () in
   let t = create cfg (Proc.intern p) in
-  (* FIFO over fresh states = BFS discovery order, the same order
-     [Lts.explore] assigns its state numbers in; states dequeued past
-     the budget keep their ids but stay unmaterialised. *)
-  let queue = Queue.create () in
-  Queue.add 0 queue;
-  let materialised = ref 0 in
-  while (not (Queue.is_empty queue)) && !materialised < budget do
-    let s = Queue.pop queue in
-    let before = t.n_states in
-    append_row t s (Step.transitions_i cfg t.nodes.(s));
-    incr materialised;
-    for s' = before to t.n_states - 1 do
-      Queue.add s' queue
-    done
-  done;
+  if budget > 0 then
+    with_successors ?pool ~cap:budget t (fun get ->
+        ignore
+          (bfs ~max_states:budget ~count:false
+             ~row:(fun s -> append_row t s (get t.nodes.(s)))
+             t));
+  Obs.Counter.add states_compiled t.n_states;
   let ms = (Obs.now_ns () -. t0) /. 1e6 in
   t.ms <- ms;
   Obs.Gauge.set compile_ms_gauge ms;
@@ -197,122 +332,3 @@ let transitions_i t q =
   | Some s ->
     materialise t s;
     row_transitions t s
-
-(* ---- exploration on the flat tables ---------------------------------- *)
-
-type raw = {
-  raw_initial : int;
-  raw_states : Proc.t array;
-  raw_transitions : (int * Event.t * bool * int) list;
-  raw_complete : bool;
-  raw_truncated : bool array;
-}
-
-let explore_raw ?(max_states = 2000) ?pool t =
-  Obs.span ~cat:"explore" "explore-compiled"
-    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-  @@ fun () ->
-  (* A multi-domain pool runs a speculative {!Frontier} session over
-     the *interned nodes* (never the CSR arrays — those are
-     single-writer and grown only by this coordinator): workers race
-     ahead deriving the transition lists of states past the compile
-     budget, the coordinator consumes them when it appends rows.
-     States inside the budget have rows already; speculation on them
-     costs only shared-cache hits. *)
-  let fs =
-    match pool with
-    | Some pool when Pool.domains pool > 1 ->
-      Some (Frontier.start ~pool ~cap:max_states t.cfg)
-    | _ -> None
-  in
-  let row_of s =
-    if t.row_off.(s) < 0 then begin
-      t.n_fallbacks <- t.n_fallbacks + 1;
-      Obs.Counter.incr fallback_rows;
-      let ts =
-        match fs with
-        | Some fs -> Frontier.get fs t.nodes.(s)
-        | None -> Step.transitions_i t.cfg t.nodes.(s)
-      in
-      append_row t s ts
-    end
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Frontier.stop fs)
-  @@ fun () ->
-  Option.iter (fun fs -> Frontier.prefetch fs t.nodes.(0)) fs;
-  (* Dense visited set: state id -> query number, -1 = unseen.  This
-     replaces the per-exploration hashtable of the interpreted path.
-     The FIFO dequeues states in BFS discovery order — exactly the
-     order the historical layer loop processed them — so the query
-     numbering replays [Lts.explore]'s exactly (transitions in row =
-     derivation order, interning stops at [max_states] mid-row just as
-     the interpreter does). *)
-  let visited = ref (Array.make (max 64 t.n_states) (-1)) in
-  let ensure_visited () =
-    if t.n_states > Array.length !visited then
-      visited := grow_int !visited t.n_states (-1)
-  in
-  let order = ref (Array.make 64 0) in
-  let n_q = ref 0 in
-  let qintern s =
-    let i = !n_q in
-    (!visited).(s) <- i;
-    if i >= Array.length !order then order := grow_int !order (i + 1) 0;
-    (!order).(i) <- s;
-    incr n_q;
-    i
-  in
-  let transitions = ref [] in
-  let complete = ref true in
-  let truncated_ids = ref [] in
-  let initial = qintern 0 in
-  let queue = Queue.create () in
-  Queue.add 0 queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    row_of s;
-    ensure_visited ();
-    let v = !visited in
-    let i = v.(s) in
-    let dropped = ref false in
-    let off = t.row_off.(s) in
-    for k = off to off + t.row_len.(s) - 1 do
-      let s' = t.pk_target.(k) in
-      let e = t.events.(t.pk_event.(k)) in
-      let visible = Bytes.get t.pk_visible k <> '\000' in
-      if !n_q >= max_states then begin
-        (* record the transition only if the target is already
-           numbered; otherwise the source keeps an unrecorded way
-           out and must not read as a deadlock *)
-        let j = v.(s') in
-        if j >= 0 then transitions := (i, e, visible, j) :: !transitions
-        else begin
-          complete := false;
-          dropped := true
-        end
-      end
-      else begin
-        let j = if v.(s') >= 0 then v.(s') else -1 in
-        let j =
-          if j >= 0 then j
-          else begin
-            let j = qintern s' in
-            Queue.add s' queue;
-            j
-          end
-        in
-        transitions := (i, e, visible, j) :: !transitions
-      end
-    done;
-    if !dropped then truncated_ids := i :: !truncated_ids
-  done;
-  let truncated = Array.make !n_q false in
-  List.iter (fun i -> truncated.(i) <- true) !truncated_ids;
-  {
-    raw_initial = initial;
-    raw_states = Array.init !n_q (fun i -> t.nodes.((!order).(i)));
-    raw_transitions = List.rev !transitions;
-    raw_complete = !complete;
-    raw_truncated = truncated;
-  }

@@ -1,32 +1,37 @@
-(** Compiled successor engine: flat transition tables over dense ids.
+(** Compiled successor engine: flat transition tables over dense ids,
+    and the one exploration loop every explorer runs.
 
     Every other pipeline *interprets* the interned Proc IR per
     transition: each successor query is a hashtable probe of
-    [Step.config.trans_cache] keyed by node id, and each LTS layer
-    re-canonicalises its targets through the global unique table.  A
-    {!t} compiles the reachable state space once — the analogue of
-    SPIN generating a dedicated [pan] verifier from a model — into a
-    CSR-style flat representation:
+    [Step.config.trans_cache] keyed by node id.  A {!t} holds the
+    reachable state space in a CSR-style flat representation — the
+    analogue of SPIN generating a dedicated [pan] verifier from a
+    model:
 
-    - dense [int] state ids assigned by a compile-time intern pass in
-      BFS discovery order (so they coincide with {!Lts.explore}'s
-      state numbering);
+    - dense [int] state ids assigned in BFS discovery order (so they
+      coincide with {!Lts.explore}'s state numbering);
     - per-state successor rows packed into preallocated int arrays:
       [row_off]/[row_len] index a shared pool of
       [(event_id, target_id)] pairs plus a visibility byte;
     - an event table mapping dense event ids back to events.
 
-    Exploration then becomes array walks with a dense int visited
-    array instead of per-layer hashtables — see [Lts.explore]'s
-    [?compiled] argument, which is byte-identical (state numbering,
-    transition order, truncation, DOT) to the interpreted path at any
-    domain count.
+    {b One explorer.}  A single FIFO loop numbers states in BFS
+    discovery order over such a table, materialising the row of each
+    state it expands when the table lacks it.  Numbering stops at
+    [max_states]; a transition is kept iff both endpoints are
+    numbered, and a numbered state with a dropped edge is truncated.
+    {!compile} runs the loop to its budget; {!explore} runs it on a
+    fresh table (compilation as a by-product of the exploration);
+    {!explore_raw} replays it over a compiled table;
+    [Counter.explore] runs it with abstract successors.  So numbering,
+    transitions, truncation and DOT output are byte-identical whichever
+    entry point, compile budget or domain count produced them.
 
     {b Fallback contract}: states beyond the compile [budget] (or
     reached only under a larger [max_states] than the compile saw) are
     materialised lazily back through the interpreter
-    ({!Step.transitions_i}, or domain-local {!Step.view}s on the
-    parallel path) the first time they are expanded; the
+    ({!Step.transitions_i}, or a speculative {!Frontier} session at
+    more than one domain) the first time they are expanded; the
     [compiled.fallbacks] counter counts such rows.  Since rows are
     derived by the same [Step] functions the interpreter uses —
     sharing its [trans_cache] — one compile also warms the caches
@@ -35,16 +40,20 @@
 
     A [t] is mutable (lazy materialisation) and must not be shared
     between domains; the internal [?pool] path coordinates its own
-    parallelism and merges results deterministically. *)
+    parallelism and appends rows from the calling domain only. *)
 
 type t
 
-val compile : ?budget:int -> Step.config -> Csp_lang.Process.t -> t
-(** One-shot compile: BFS from the root, materialising successor rows
-    for up to [budget] states (default [200_000]).  Discovered targets
-    beyond the budget get ids but no rows (materialised lazily on
-    demand).  Telemetry: [compiled.compiles], [compiled.states],
-    [compiled.compile_ms] and a ["compile"] span. *)
+val compile :
+  ?budget:int -> ?pool:Csp_parallel.Pool.t -> Step.config -> Csp_lang.Process.t -> t
+(** One-shot compile: the exploration loop run to [budget] states
+    (default [200_000]), materialising the successor rows of the first
+    [budget] states in BFS order.  Discovered targets beyond the budget
+    get ids but no rows (materialised lazily on demand).  With a
+    multi-domain [pool], rows are derived through a speculative
+    {!Frontier} session.  Telemetry: [compiled.compiles],
+    [compiled.states], [compiled.compile_ms] and a ["compile"] span;
+    a compile does not count towards [lts.*]. *)
 
 val root : t -> Csp_lang.Proc.t
 (** The interned root the automaton was compiled from. *)
@@ -79,10 +88,12 @@ val transitions_i :
     [Step.transitions_i (config t)] — which it delegates to verbatim
     for states outside the automaton. *)
 
-(** {1 Raw exploration}
+(** {1 Exploration}
 
-    {!Lts.explore} with [?compiled] is the public entry point; the raw
-    result exists so this module does not depend on [Lts]. *)
+    {!Lts.explore} is the public entry point; the raw result exists so
+    this module does not depend on [Lts] (see [Lts.of_raw]).  Every
+    exploration counts its numbered states and BFS layers in
+    [lts.states] and [lts.layers]. *)
 
 type raw = {
   raw_initial : int;
@@ -93,9 +104,23 @@ type raw = {
   raw_truncated : bool array;
 }
 
+val explore :
+  ?max_states:int ->
+  ?pool:Csp_parallel.Pool.t ->
+  ?successors:
+    (Csp_lang.Proc.t ->
+    (Csp_trace.Event.t * Step.visibility * Csp_lang.Proc.t) list) ->
+  Step.config ->
+  Csp_lang.Proc.t ->
+  raw
+(** The exploration loop on a fresh table rooted at the given state
+    (default bound: 2000 states).  Rows are derived by [successors]
+    when given (it must be a function of the state alone), otherwise
+    by [Step.transitions_i] on the configuration — through a
+    {!Frontier} session when [pool] has more than one domain. *)
+
 val explore_raw : ?max_states:int -> ?pool:Csp_parallel.Pool.t -> t -> raw
-(** Replay of the {!Lts.explore} loop on the flat tables: FIFO layer
-    order, dense visited array, identical truncation bookkeeping.
-    With a multi-domain [pool], only lazy row materialisation is
-    parallelised (rows are appended in frontier order at the barrier),
-    so the result is identical at any domain count. *)
+(** The exploration loop replayed over a compiled table: rows the
+    table has are array walks; rows it lacks are fallbacks (see the
+    module description).  The result equals {!explore} on the
+    automaton's root and configuration. *)

@@ -84,7 +84,7 @@ val compile : ?budget:int -> t -> Csp_lang.Process.t -> Compiled.t
     {!Lts.explore}/[Runner]/[Sat] query through the same engine.
     [budget] bounds the states materialised eagerly (see
     {!Compiled.compile}); it only takes effect on the compiling
-    call. *)
+    call.  The compile derives its rows through the engine's {!pool}. *)
 
 val compiled_count : t -> int
 (** Automata in this engine's compile cache (shared with its

@@ -2,16 +2,7 @@ module Event = Csp_trace.Event
 module Channel = Csp_trace.Channel
 module Process = Csp_lang.Process
 module Proc = Csp_lang.Proc
-module Pool = Csp_parallel.Pool
 module Obs = Csp_obs.Obs
-
-(* Telemetry (observation only — never read back into exploration).
-   Layer spans carry the frontier size and chunk count, so a Chrome
-   trace of an exploration shows the BFS wavefront shrinking and
-   growing; the merge span isolates the sequential cache fold-back at
-   each barrier. *)
-let layers_explored = Obs.Counter.make "lts.layers"
-let states_interned = Obs.Counter.make "lts.states"
 
 type state = int
 
@@ -46,220 +37,9 @@ let make ?truncated ~initial ~states ~transitions ~complete () =
     truncated;
   }
 
-module Int_tbl = Hashtbl.Make (Int)
-
-(* The deterministic exploration core: a FIFO over discovered states.
-   Fresh states enqueue in discovery order, so dequeue order is
-   exactly BFS layer order — this replays the historical
-   layer-synchronous loop state for state: numbering, transition
-   order, truncation at [max_states] and the [complete] flag are all
-   functions of [get] alone.  [get] must return exactly
-   [Step.transitions_i cfg q]; how it is computed (inline, cached, or
-   speculatively by a work-stealing session) is unobservable.
-
-   States are hash-consed nodes, so canonicalisation is a lookup on
-   the node id — no per-state rehash of a deep term.  The [procs] list
-   keeps every numbered node alive, so ids are stable for the whole
-   exploration. *)
-let explore_core ~max_states ~get (p : Proc.t) =
-  let ids : int Int_tbl.t = Int_tbl.create 64 in
-  let procs = ref [] and n_states = ref 0 in
-  let intern (q : Proc.t) =
-    match Int_tbl.find_opt ids (Proc.id q) with
-    | Some i -> (i, false)
-    | None ->
-      let i = !n_states in
-      Int_tbl.add ids (Proc.id q) i;
-      procs := q :: !procs;
-      incr n_states;
-      Obs.Counter.incr states_interned;
-      (i, true)
-  in
-  let transitions = ref [] and n_transitions = ref 0 in
-  let complete = ref true in
-  (* state indices that had outgoing transitions dropped at the bound *)
-  let truncated_ids = ref [] in
-  let initial, _ = intern p in
-  let queue = Queue.create () in
-  Queue.add (initial, p) queue;
-  (* layer accounting for the [lts.layers] counter: a layer starts at
-     the first state discovered after the previous layer filled up *)
-  let layer_start = ref 0 and layer_end = ref 1 in
-  while not (Queue.is_empty queue) do
-    let i, q = Queue.pop queue in
-    if i = !layer_start then Obs.Counter.incr layers_explored;
-    let dropped = ref false in
-    List.iter
-      (fun (e, vis, q') ->
-        let visible =
-          match (vis : Step.visibility) with
-          | Step.Visible -> true
-          | Step.Hidden -> false
-        in
-        if !n_states >= max_states then begin
-          (* record the transition only if the target is already
-             known; otherwise the source keeps an unrecorded way
-             out and must not read as a deadlock *)
-          match Int_tbl.find_opt ids (Proc.id q') with
-          | Some j ->
-            transitions :=
-              { source = i; event = e; visible; target = j } :: !transitions;
-            incr n_transitions
-          | None ->
-            complete := false;
-            dropped := true
-        end
-        else begin
-          let j, fresh = intern q' in
-          transitions :=
-            { source = i; event = e; visible; target = j } :: !transitions;
-          incr n_transitions;
-          if fresh then Queue.add (j, q') queue
-        end)
-      (get q);
-    if !dropped then truncated_ids := i :: !truncated_ids;
-    if i + 1 = !layer_end && !n_states > !layer_end then begin
-      layer_start := !layer_end;
-      layer_end := !n_states
-    end
-  done;
-  let truncated = Array.make !n_states false in
-  List.iter (fun i -> truncated.(i) <- true) !truncated_ids;
-  {
-    initial;
-    states = Array.of_list (List.rev_map Proc.to_process !procs);
-    transitions = List.rev !transitions;
-    complete = !complete;
-    n_transitions = !n_transitions;
-    truncated;
-  }
-
-let explore_interpreted ~max_states ?pool cfg p =
-  let p = Proc.intern p in
-  Obs.span ~cat:"explore" "explore"
-    ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-    (fun () ->
-      match pool with
-      | Some pool when Pool.domains pool > 1 ->
-        (* Work-stealing speculation: workers derive transition lists
-           ahead of the coordinator, which replays the sequential BFS
-           consuming their results — byte-identical output, see
-           {!Frontier}. *)
-        let fs = Frontier.start ~pool ~cap:max_states cfg in
-        Fun.protect
-          ~finally:(fun () -> Frontier.stop fs)
-          (fun () ->
-            Frontier.prefetch fs p;
-            explore_core ~max_states ~get:(Frontier.get fs) p)
-      | _ -> explore_core ~max_states ~get:(Step.transitions_i cfg) p)
-
-(* Relaxed exploration: workers explore autonomously, claiming states
-   first-come-first-served; state numbers are claim order, not BFS
-   order.  The promise is weakened to set-equality with the
-   deterministic exploration (same state set, same transition set up
-   to renumbering) — exact only for complete explorations; a bounded
-   one may keep a different max_states-subset of the graph.  *)
-let explore_relaxed ~max_states pool cfg (p : Proc.t) =
-  let max_states = max 1 max_states in
-  let n = Pool.domains pool in
-  let n_shards = 64 in
-  let shard_mask = n_shards - 1 in
-  let locks = Array.init n_shards (fun _ -> Mutex.create ()) in
-  (* node id → claim order, sharded *)
-  let claimed : int Int_tbl.t array =
-    Array.init n_shards (fun _ -> Int_tbl.create 64)
-  in
-  let order_counter = Atomic.make 0 in
-  let overflowed = Atomic.make false in
-  let views = Array.init n (fun _ -> Step.view cfg) in
-  (* per-worker accumulators, merged after the join *)
-  let states_acc : (int * Proc.t) list array = Array.make n [] in
-  let trans_acc : (int * Event.t * Step.visibility * Proc.t) list array =
-    Array.make n []
-  in
-  let claim q =
-    let id = Proc.id q in
-    let k = id land shard_mask in
-    Mutex.lock locks.(k);
-    let r =
-      match Int_tbl.find_opt claimed.(k) id with
-      | Some _ -> None
-      | None ->
-        let o = Atomic.fetch_and_add order_counter 1 in
-        Int_tbl.add claimed.(k) id o;
-        Some o
-    in
-    Mutex.unlock locks.(k);
-    r
-  in
-  let lookup q =
-    let id = Proc.id q in
-    let k = id land shard_mask in
-    Mutex.lock locks.(k);
-    let r = Int_tbl.find_opt claimed.(k) id in
-    Mutex.unlock locks.(k);
-    r
-  in
-  let session =
-    Pool.stealing_start pool ~auto_stop:true (fun ~worker ~push q ->
-        match claim q with
-        | None -> ()
-        | Some o when o >= max_states -> Atomic.set overflowed true
-        | Some o ->
-          states_acc.(worker) <- (o, q) :: states_acc.(worker);
-          Obs.Counter.incr states_interned;
-          let ts = Step.transitions_view views.(worker) q in
-          trans_acc.(worker) <-
-            List.fold_left
-              (fun acc (e, vis, q') -> (o, e, vis, q') :: acc)
-              trans_acc.(worker) ts;
-          List.iter (fun (_, _, q') -> if lookup q' = None then push q') ts)
-  in
-  Fun.protect
-    ~finally:(fun () -> Pool.stealing_stop session)
-    (fun () ->
-      Pool.stealing_push session p;
-      Pool.stealing_participate session);
-  Array.iter Step.merge_view views;
-  let n_states = min (Atomic.get order_counter) max_states in
-  let states = Array.make n_states p in
-  Array.iter
-    (List.iter (fun (o, q) -> if o < n_states then states.(o) <- q))
-    states_acc;
-  let transitions = ref [] and n_transitions = ref 0 in
-  let truncated = Array.make n_states false in
-  let complete = ref (not (Atomic.get overflowed)) in
-  Array.iter
-    (List.iter (fun (o, e, vis, q') ->
-         if o < n_states then
-           match lookup q' with
-           | Some j when j < n_states ->
-             let visible =
-               match (vis : Step.visibility) with
-               | Step.Visible -> true
-               | Step.Hidden -> false
-             in
-             transitions :=
-               { source = o; event = e; visible; target = j } :: !transitions;
-             incr n_transitions
-           | _ ->
-             (* target beyond the bound (or lost to a worker failure):
-                drop the edge, mark the source truncated — mirroring
-                the deterministic bound semantics *)
-             complete := false;
-             truncated.(o) <- true))
-    trans_acc;
-  {
-    initial = 0;  (* the root is the only seed, so it claims order 0 *)
-    states = Array.map Proc.to_process states;
-    transitions = !transitions;
-    complete = !complete;
-    n_transitions = !n_transitions;
-    truncated;
-  }
-
-(* A compiled automaton's raw exploration carries the same fields in
-   the same discovery order; packaging it is projection only. *)
+(* The one explorer lives in {!Compiled}: it numbers states over a
+   flat table, and its raw result carries the same fields in the same
+   discovery order; packaging it is projection only. *)
 let of_raw (r : Compiled.raw) =
   {
     initial = r.Compiled.raw_initial;
@@ -274,20 +54,14 @@ let of_raw (r : Compiled.raw) =
     truncated = r.Compiled.raw_truncated;
   }
 
-let explore ?(max_states = 2000) ?pool ?compiled ?(relaxed = false) cfg p =
-  match relaxed, pool with
-  | true, Some pool ->
-    (* relaxed mode bypasses the compiled automaton: its value is
-       letting workers do authoritative work, which the flat CSR
-       tables (single-writer) cannot support *)
-    Obs.span ~cat:"explore" "explore-relaxed"
-      ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-      (fun () -> explore_relaxed ~max_states pool cfg (Proc.intern p))
-  | _ -> (
-    match compiled with
-    | Some c when Proc.equal (Compiled.root c) (Proc.intern p) ->
-      of_raw (Compiled.explore_raw ~max_states ?pool c)
-    | _ -> explore_interpreted ~max_states ?pool cfg p)
+(* Without a matching automaton the loop runs on a fresh table. *)
+let explore ?(max_states = 2000) ?pool ?compiled cfg p =
+  let p = Proc.intern p in
+  of_raw
+    (match compiled with
+    | Some c when Proc.equal (Compiled.root c) p ->
+      Compiled.explore_raw ~max_states ?pool c
+    | _ -> Compiled.explore ~max_states ?pool cfg p)
 
 let num_states t = Array.length t.states
 let num_transitions t = t.n_transitions
@@ -334,42 +108,6 @@ let reachable_channels t =
       end)
     t.transitions;
   List.rev !out
-
-(* Canonical, numbering-independent form: states (as printed process
-   terms) and transitions (as printed endpoint terms + event) in sorted
-   order, plus the initial state and the completeness flag.  Two
-   explorations of the same process have equal signatures iff they
-   found the same state set and the same transition set — the contract
-   relaxed mode promises against deterministic mode. *)
-let signature t =
-  let state_strs = Array.map Process.to_string t.states in
-  let sorted_states = Array.copy state_strs in
-  Array.sort String.compare sorted_states;
-  let edges =
-    List.sort String.compare
-      (List.map
-         (fun tr ->
-           Printf.sprintf "%s --%s%s--> %s" state_strs.(tr.source)
-             (Event.to_string tr.event)
-             (if tr.visible then "" else "~")
-             state_strs.(tr.target))
-         t.transitions)
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "states:%d complete:%b initial:%s\n"
-       (Array.length sorted_states) t.complete state_strs.(t.initial));
-  Array.iter
-    (fun s ->
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\n')
-    sorted_states;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf e;
-      Buffer.add_char buf '\n')
-    edges;
-  Buffer.contents buf
 
 let dot_escape s = String.concat "\\\"" (String.split_on_char '"' s)
 

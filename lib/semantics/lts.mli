@@ -8,15 +8,14 @@
     network diagrams as graphs (Graphviz DOT output, used by
     [cspc graph]).
 
-    Exploration is a FIFO walk in BFS discovery order.  Handing
-    {!explore} a multi-domain {!Csp_parallel.Pool.t} turns the pool's
-    workers into a work-stealing speculation fleet ({!Frontier}): they
-    derive per-state transition lists ahead of the coordinator, which
-    replays the sequential BFS consuming their results — so the
-    resulting system (state numbering, transition list, truncation and
-    DOT output) is byte-identical whatever the domain count.  An
-    opt-in relaxed mode trades that guarantee for fully autonomous
-    workers and promises only set-equality (see {!explore}). *)
+    Exploration is the one FIFO loop of {!Compiled}, in BFS discovery
+    order.  Handing {!explore} a multi-domain {!Csp_parallel.Pool.t}
+    turns the pool's workers into a work-stealing speculation fleet
+    ({!Frontier}): they derive per-state transition lists ahead of the
+    coordinator, which runs the sequential loop consuming their
+    results — so the resulting system (state numbering, transition
+    list, truncation and DOT output) is byte-identical whatever the
+    domain count. *)
 
 type state = int
 
@@ -59,43 +58,33 @@ val explore :
   ?max_states:int ->
   ?pool:Csp_parallel.Pool.t ->
   ?compiled:Compiled.t ->
-  ?relaxed:bool ->
   Step.config ->
   Csp_lang.Process.t ->
   t
 (** Breadth-first exploration (default bound: 2000 states).  States are
     identified up to syntactic equality of the process term, so a
     recursive definition that returns to its defining equation yields a
-    finite cyclic graph.  With a multi-domain [pool], workers
-    speculatively derive transition lists through a work-stealing
-    frontier while the coordinator replays the sequential BFS; the
-    result is byte-identical to the sequential exploration (see the
-    module description).
+    finite cyclic graph.  The first [max_states] states in discovery
+    order are kept, with exactly the transitions between them; a kept
+    state with a transition to a dropped state is [truncated].  With a
+    multi-domain [pool], workers speculatively derive transition lists
+    through a work-stealing frontier while the coordinator runs the
+    sequential loop; the result is byte-identical to the sequential
+    exploration (see the module description).
 
     When [compiled] is an automaton for the same root process (see
-    {!Compiled.compile}, {!Engine.compile}), the exploration runs as
-    array walks over its flat successor tables with a dense visited
-    set — byte-identical output (numbering, transitions, truncation,
-    DOT) at any domain count, with states beyond the compile budget
-    materialised lazily through the interpreter.  The automaton must
-    have been compiled with the same configuration; a [compiled] whose
-    root is a different process is ignored and the interpreted path
-    runs.
+    {!Compiled.compile}, {!Engine.compile}), the loop replays over its
+    flat successor tables — byte-identical output (numbering,
+    transitions, truncation, DOT) at any domain count, with states
+    beyond the compile budget materialised lazily through the
+    interpreter.  The automaton must have been compiled with the same
+    configuration; a [compiled] whose root is a different process is
+    ignored and the loop runs on a fresh table. *)
 
-    [relaxed:true] (with a [pool]) lets the workers explore
-    autonomously: states are numbered in claim order, not BFS order,
-    so numbering and transition order vary run to run.  The promise is
-    weakened to set-equality with the deterministic exploration (equal
-    {!signature}s) — exact for complete explorations; a bounded one
-    may keep a different [max_states]-subset.  Relaxed mode ignores
-    [compiled]; without a [pool] it falls back to the deterministic
-    path. *)
-
-val signature : t -> string
-(** Canonical, numbering-independent form: sorted printed states,
-    sorted printed transitions, initial state and completeness.  Equal
-    signatures ⇔ same state set, same transition set — the oracle for
-    comparing relaxed against deterministic explorations. *)
+val of_raw : Compiled.raw -> t
+(** Package a raw exploration ({!Compiled.explore}) — the entry point
+    for explorers with their own successor function, such as the
+    counter abstraction. *)
 
 val num_states : t -> int
 

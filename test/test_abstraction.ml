@@ -228,10 +228,12 @@ let test_ring_collapses_and_legend () =
 
 let test_ring_deterministic () =
   let go () = (Counter.explore Family.token_ring.Family.fam ~n:5).Counter.lts in
-  Alcotest.(check string)
-    "same signature across runs"
-    (Lts.signature (go ()))
-    (Lts.signature (go ()))
+  let a = go () and b = go () in
+  Alcotest.(check (array string))
+    "same states across runs"
+    (Array.map Process.to_string a.Lts.states)
+    (Array.map Process.to_string b.Lts.states);
+  Alcotest.(check string) "same DOT across runs" (Lts.to_dot a) (Lts.to_dot b)
 
 let test_initial_signature_saturates () =
   let fam = Family.token_ring.Family.fam in
@@ -399,6 +401,39 @@ let test_family_refutation () =
   let report = Format.asprintf "%a" Family.pp_outcome o in
   check_bool "report says NOT CERTIFIED" true (contains report "NOT CERTIFIED")
 
+(* A class explored only up to the state bound has unexplored traces:
+   like STOP, its explored part satisfies any invariant, so it must
+   never certify. *)
+let test_family_truncated_inconclusive () =
+  let o =
+    outcome_of
+      (Family.check_family ~depth:6 ~max_states:2 Family.token_ring
+         ~formula:(formula "n <= 8"))
+  in
+  check_int "three classes" 3 (List.length o.Family.classes);
+  List.iter
+    (fun c ->
+      check_bool "class truncated" false c.Family.complete;
+      check_int "cut at the bound" 2 c.Family.abstract_states)
+    o.Family.classes;
+  check_bool "not certified" false o.Family.certified;
+  let report = Format.asprintf "%a" Family.pp_outcome o in
+  check_bool "classes inconclusive" true
+    (contains report "INCONCLUSIVE: truncated at 2 abstract states");
+  check_bool "no class holds" false (contains report "HOLDS");
+  check_bool "report says NOT CERTIFIED" true (contains report "NOT CERTIFIED");
+  (* the default bound explores every class in full *)
+  let o =
+    outcome_of
+      (Family.check_family ~depth:6 Family.token_ring
+         ~formula:(formula "n <= 8"))
+  in
+  check_bool "complete classes certify" true o.Family.certified;
+  check_bool "CERTIFIED names its depth" true
+    (contains
+       (Format.asprintf "%a" Family.pp_outcome o)
+       "on traces of length <= 6")
+
 let test_family_counters_move () =
   let before = Obs.Counter.get (Obs.Counter.make "abstraction.family_checks") in
   ignore (Family.check_family Family.token_ring ~formula:(formula "n<=4"));
@@ -531,6 +566,8 @@ let () =
           Alcotest.test_case "error cases" `Quick test_family_errors;
           Alcotest.test_case "false invariant refuted" `Quick
             test_family_refutation;
+          Alcotest.test_case "truncated class is inconclusive" `Quick
+            test_family_truncated_inconclusive;
           Alcotest.test_case "obs counters move" `Quick
             test_family_counters_move;
         ] );

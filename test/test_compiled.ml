@@ -178,6 +178,99 @@ let test_off_automaton_fallback () =
          Event.equal e1 e2 && Step.vis_equal v1 v2 && Proc.equal q1 q2)
        by_compiled by_interpreter)
 
+(* ---- truncation, pinned once for every explorer ---------------------- *)
+
+(* The bounded exploration at [k] must be [full] restricted to its first
+   [k] states: the same numbering, exactly the transitions with both
+   endpoints below [k] (in order), [truncated] exactly on the sources
+   of cut edges, [complete] iff no edge is cut.  [full] may itself be
+   bounded: its own truncated states keep their cut edges. *)
+let restriction_of (full : Lts.t) k (l : Lts.t) =
+  let n = min k (Lts.num_states full) in
+  let from_kept = List.filter (fun tr -> tr.Lts.source < n) full.Lts.transitions in
+  let kept = List.filter (fun tr -> tr.Lts.target < n) from_kept in
+  let truncated = Array.init n (fun i -> full.Lts.truncated.(i)) in
+  List.iter
+    (fun tr -> if tr.Lts.target >= n then truncated.(tr.Lts.source) <- true)
+    from_kept;
+  Lts.num_states l = n
+  && Array.length l.Lts.truncated = n
+  && l.Lts.initial = full.Lts.initial
+  && Array.for_all2 Process.equal l.Lts.states (Array.sub full.Lts.states 0 n)
+  && List.equal transition_equal l.Lts.transitions kept
+  && Lts.num_transitions l = List.length kept
+  && Array.for_all2 Bool.equal l.Lts.truncated truncated
+  && l.Lts.complete = not (Array.exists Fun.id truncated)
+
+(* 1 domain, plus CSP_TEST_DOMAINS (2 when unset) *)
+let truncation_domains =
+  match Option.bind (Sys.getenv_opt "CSP_TEST_DOMAINS") int_of_string_opt with
+  | Some d when d > 1 -> [ 1; d ]
+  | _ -> [ 1; 2 ]
+
+(* Every k from 1 to (states + 1), through every way of running the
+   loop: a fresh table, a replay over a fully compiled table and one
+   over a budget-1 table (each replay also grows it by fallbacks), at
+   each domain count.  [bound] caps [full] for open-ended scenarios. *)
+let truncation_pinned ?(bound = 5000) mk_cfg p =
+  let full = Lts.explore ~max_states:bound (mk_cfg ()) p in
+  let ks = List.init (min (Lts.num_states full + 1) bound) (fun i -> i + 1) in
+  List.for_all
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let pool = if domains > 1 then Some pool else None in
+          let fresh k = Lts.explore ~max_states:k ?pool (mk_cfg ()) p in
+          let replay budget =
+            let cfg = mk_cfg () in
+            let compiled = Compiled.compile ?budget cfg p in
+            fun k -> Lts.explore ~max_states:k ?pool ~compiled cfg p
+          in
+          List.for_all
+            (fun explore ->
+              List.for_all (fun k -> restriction_of full k (explore k)) ks)
+            [ fresh; replay None; replay (Some 1) ]))
+    truncation_domains
+
+let truncation_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:10
+       ~name:"every bound k: explore k = unbounded explore restricted to k"
+       Gen.scenario
+       (fun sc ->
+         truncation_pinned ~bound:60
+           (fun () -> Step.config ~sampler:(Sampler.nat_bound 2) sc.Scenario.defs)
+           (Process.ref_ sc.Scenario.main)))
+
+let test_truncation_models () =
+  let ph = Paper.Philosophers.make ~n:3 ~left_handed_last:true () in
+  let sw = Models.Sliding_window.make ~w:2 in
+  List.iter
+    (fun (label, defs, nat, p) ->
+      Alcotest.(check bool) label true
+        (truncation_pinned
+           (fun () -> Step.config ~sampler:(Sampler.nat_bound nat) defs)
+           p))
+    [
+      ("philosophers-3", ph.Paper.Philosophers.defs, 3, ph.Paper.Philosophers.network);
+      ( "sliding-window w=2",
+        sw.Models.Sliding_window.defs,
+        2,
+        sw.Models.Sliding_window.network );
+    ]
+
+(* The counter abstraction runs the same loop with abstract successors. *)
+let test_truncation_counter () =
+  let fam = Abstraction.Family.workers.Abstraction.Family.fam in
+  let explore k = (Abstraction.Counter.explore ~max_states:k fam ~n:4).Abstraction.Counter.lts in
+  let full = explore 4000 in
+  Alcotest.(check bool) "workers-4 abstract space complete" true full.Lts.complete;
+  for k = 1 to Lts.num_states full + 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "workers-4 abstract, k=%d" k)
+      true
+      (restriction_of full k (explore k))
+  done
+
 (* ---- engine cache, runner and bisimulation --------------------------- *)
 
 let test_engine_compile_cached () =
@@ -229,6 +322,11 @@ let () =
           Alcotest.test_case "truncated system identical" `Quick
             test_truncation_identical;
           Alcotest.test_case "deadlocks survive" `Quick test_deadlock_identical;
+          truncation_qcheck;
+          Alcotest.test_case "every bound on philosophers-3, sliding-window w=2"
+            `Quick test_truncation_models;
+          Alcotest.test_case "every bound on the workers-4 counter abstraction"
+            `Quick test_truncation_counter;
         ] );
       ( "tables",
         [

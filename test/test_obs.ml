@@ -346,6 +346,34 @@ let test_snapshot_pins_instrument_keys () =
         true found)
     [ "pool.lock_waits = "; "lts.states = "; "sat.checks = " ]
 
+(* Every path that explores counts what it explored: [lts.states] on
+   the default compiled path of [cspc graph] (compile, then a replay of
+   the loop over the automaton) equals the printed state count, as it
+   does on the interpreted path, with or without a pool. *)
+let test_graph_stats_attribute_states () =
+  let run args =
+    let cmd =
+      Filename.quote_command "../bin/cspc.exe"
+        ([ "graph"; "../examples/protocol.csp"; "-p"; "protocol"; "--stats" ]
+        @ args)
+      ^ " 2>&1"
+    in
+    let ic = Unix.open_process_in cmd in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    ignore (Unix.close_process_in ic);
+    let find fmt = List.find_map (fun l -> Scanf.sscanf_opt l fmt Fun.id) lines in
+    (find "lts.states = %d", find "%d states,")
+  in
+  List.iter
+    (fun args ->
+      let counted, printed = run args in
+      let label = String.concat " " ("graph" :: args) in
+      Alcotest.(check bool) (label ^ ": explored something") true
+        (match printed with Some n -> n > 1 | None -> false);
+      Alcotest.(check (option int)) (label ^ ": lts.states = printed states")
+        printed counted)
+    [ []; [ "--compiled"; "-j"; "2" ]; [ "--no-compiled" ] ]
+
 (* ---- spans ------------------------------------------------------------ *)
 
 let test_span_nesting () =
@@ -509,6 +537,8 @@ let () =
           Alcotest.test_case "snapshot totality" `Quick test_snapshot_totality;
           Alcotest.test_case "pinned instrument keys" `Quick
             test_snapshot_pins_instrument_keys;
+          Alcotest.test_case "graph --stats counts explored states" `Quick
+            test_graph_stats_attribute_states;
         ] );
       ( "spans",
         [

@@ -36,24 +36,6 @@ let test_parallel_map_single_domain () =
       let out = Pool.parallel_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       Alcotest.(check (array int)) "sequential fast path" [| 2; 3; 4 |] out)
 
-let test_map_chunks () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let input = Array.init 57 Fun.id in
-      let sums =
-        Pool.map_chunks pool ~chunk_size:10
-          (fun chunk -> Array.fold_left ( + ) 0 chunk)
-          input
-      in
-      Alcotest.(check int)
-        "chunk sums partition the total"
-        (Array.fold_left ( + ) 0 input)
-        (Array.fold_left ( + ) 0 sums))
-
-let test_run () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let out = Pool.run pool [ (fun () -> "a"); (fun () -> "b") ] in
-      Alcotest.(check (list string)) "thunk results in order" [ "a"; "b" ] out)
-
 exception Boom of int
 
 let test_exception_lowest_index () =
@@ -207,61 +189,6 @@ let test_explore_philosophers_identical () =
             (Printf.sprintf "philosophers identical at %d domains" domains)
             true (lts_equal_seq seq par)))
     domain_counts
-
-(* ---- relaxed exploration: set-equality against deterministic --------- *)
-
-(* Relaxed mode numbers states in claim order, so numbering and
-   transition order are schedule-dependent — but on a complete
-   exploration the state set and transition set must match the
-   deterministic run exactly.  [Lts.signature] is the
-   numbering-independent canonical form. *)
-let test_relaxed_signature_oracle () =
-  let models =
-    [
-      ( "philosophers-3",
-        fun () ->
-          let ph = Paper.Philosophers.make ~n:3 ~left_handed_last:true () in
-          ( Step.config ~sampler:(Sampler.nat_bound 3)
-              ph.Paper.Philosophers.defs,
-            ph.Paper.Philosophers.network ) );
-      ( "sliding-window-w2",
-        fun () ->
-          let m = Models.Sliding_window.make ~w:2 in
-          ( Step.config ~sampler:(Sampler.nat_bound 2)
-              m.Models.Sliding_window.defs,
-            m.Models.Sliding_window.network ) );
-    ]
-  in
-  List.iter
-    (fun (label, mk) ->
-      let cfg, net = mk () in
-      let seq = Lts.explore ~max_states:20_000 cfg net in
-      Alcotest.(check bool)
-        (label ^ ": deterministic run is complete")
-        true seq.Lts.complete;
-      let want = Lts.signature seq in
-      (* without a pool, relaxed falls back to the deterministic path *)
-      let fallback =
-        let cfg, net = mk () in
-        Lts.explore ~max_states:20_000 ~relaxed:true cfg net
-      in
-      Alcotest.(check bool)
-        (label ^ ": relaxed without pool is byte-identical")
-        true
-        (lts_equal_seq seq fallback);
-      List.iter
-        (fun domains ->
-          Pool.with_pool ~domains (fun pool ->
-              let cfg, net = mk () in
-              let relaxed =
-                Lts.explore ~max_states:20_000 ~pool ~relaxed:true cfg net
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s: relaxed signature at %d domains" label
-                   domains)
-                want (Lts.signature relaxed)))
-        domain_counts)
-    models
 
 (* ---- sharded fuzzing ≡ sequential fuzzing ---------------------------- *)
 
@@ -438,8 +365,6 @@ let () =
           Alcotest.test_case "parallel_map" `Quick test_parallel_map;
           Alcotest.test_case "single-domain fast path" `Quick
             test_parallel_map_single_domain;
-          Alcotest.test_case "map_chunks" `Quick test_map_chunks;
-          Alcotest.test_case "run" `Quick test_run;
           Alcotest.test_case "lowest-indexed exception" `Quick
             test_exception_lowest_index;
           Alcotest.test_case "stats counters" `Quick test_pool_stats;
@@ -458,8 +383,6 @@ let () =
           explore_deterministic;
           Alcotest.test_case "philosophers byte-identical" `Quick
             test_explore_philosophers_identical;
-          Alcotest.test_case "relaxed signature oracle" `Quick
-            test_relaxed_signature_oracle;
         ] );
       ( "fuzz",
         [
