@@ -1207,7 +1207,7 @@ let p10_procir ?(smoke = false) () =
   result "  wrote BENCH_procir.json\n"
 
 (* ---------------------------------------------------------------------- *)
-(* P11: parallel LTS exploration — scaling over domain counts              *)
+(* P11: N-domain byte-identity of exploration                              *)
 (* ---------------------------------------------------------------------- *)
 
 type p11_row = {
@@ -1254,12 +1254,14 @@ let write_p11_json path ~host_domains ~underpowered ~warm rows =
   close_out oc
 
 let p11_parallel ?(smoke = false) () =
-  section "P11: parallel LTS exploration (work-stealing frontier)";
+  section "P11: exploration at N domains (byte-identity check)";
   let host = Domain.recommended_domain_count () in
-  (* Cold legs run on fresh configurations (per-config caches empty):
-     successor derivation is the work being stolen, and a warm
-     trans_cache would reduce every run to table lookups.  The warm
-     leg below measures exactly that effect, deliberately. *)
+  (* Exploration runs on the calling domain whatever pool it is handed
+     (vector rows serve every domain count), so this table is the
+     N-domain byte-identity check: every leg must equal the sequential
+     DOT, and its times show what a pool costs when idle.  Cold legs
+     run on fresh configurations (per-config caches empty); the warm
+     leg below measures a reused configuration, deliberately. *)
   let workloads =
     let chain n =
       ( Printf.sprintf "copier-chain-%d" n,
@@ -1546,17 +1548,21 @@ let p12_obs_overhead ?(smoke = false) () =
 
 (* The SPIN-style comparison: one [Compiled.compile] pass flattens the
    reachable state space into CSR successor tables, then every explore
-   is array walks over a dense visited set.  The interpreted side runs
-   on a fresh configuration per timed run (cold per-config caches —
-   the cost one [cspc graph] invocation pays); the compiled side
-   amortises its one compile over repeated explores, which is the
-   design point, so compile time is reported as its own column. *)
+   is array walks over a dense visited set.  Two cold sides run on a
+   fresh configuration per timed run (cold per-config caches — the
+   cost one [cspc graph] invocation pays): the interpreter (the loop
+   with rows from [Step.transitions_i] on whole states) and the vector
+   rows every explorer now uses (the loop on a fresh table, rows from
+   [Vector]).  The compiled side amortises its one compile over
+   repeated explores, which is the design point, so compile time is
+   reported as its own column. *)
 
 type p13_row = {
   p13_workload : string;
   p13_states : int;
   p13_transitions : int;
   p13_interp_ms : float;
+  p13_vector_ms : float;  (* fresh table, vector rows *)
   p13_compile_ms : float;
   p13_compiled_ms : float;
   p13_speedup : float; (* interpreted / compiled explore *)
@@ -1566,19 +1572,26 @@ type p13_row = {
   p13_identical : bool; (* DOT byte-identical to interpreted *)
 }
 
-let write_p13_json path rows =
+let write_p13_json path ~host_domains rows =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"p13_compiled\",\n  \"results\": [\n";
+  Printf.fprintf oc
+    "{\n  \"bench\": \"p13_compiled\",\n  \"host_domains\": %d,\n  \
+     \"results\": [\n"
+    host_domains;
   let last = List.length rows - 1 in
   List.iteri
     (fun i r ->
       Printf.fprintf oc
         "    { \"workload\": \"%s\", \"states\": %d, \"transitions\": %d, \
-         \"interpreted_ms\": %.3f, \"compile_ms\": %.3f, \
+         \"interpreted_ms\": %.3f, \"vector_ms\": %.3f, \
+         \"vector_speedup\": %.2f, \"compile_ms\": %.3f, \
          \"compiled_explore_ms\": %.3f, \"speedup\": %.2f, \
          \"states_per_sec_interpreted\": %.0f, \"states_per_sec_compiled\": \
          %.0f, \"fallbacks\": %d, \"identical_to_interpreted\": %b }%s\n"
         r.p13_workload r.p13_states r.p13_transitions r.p13_interp_ms
+        r.p13_vector_ms
+        (if r.p13_vector_ms > 0.0 then r.p13_interp_ms /. r.p13_vector_ms
+         else 1.0)
         r.p13_compile_ms r.p13_compiled_ms r.p13_speedup r.p13_interp_sps
         r.p13_compiled_sps r.p13_fallbacks r.p13_identical
         (if i = last then "" else ","))
@@ -1617,21 +1630,35 @@ let p13_compiled ?(smoke = false) () =
     !best
   in
   let rows = ref [] in
-  result "  %-18s %8s %8s %10s %10s %10s %8s %12s %12s\n" "workload" "states"
-    "trans" "interp(ms)" "compile" "explore" "speedup" "interp-st/s"
-    "compiled-st/s";
+  result "  %-18s %8s %8s %10s %10s %10s %10s %8s %12s %12s\n" "workload"
+    "states" "trans" "interp(ms)" "vector" "compile" "explore" "speedup"
+    "interp-st/s" "compiled-st/s";
+  let interpreted cfg net =
+    Lts.of_raw
+      (Compiled.explore ~max_states ~successors:(Step.transitions_i cfg) cfg
+         (Proc.intern net))
+  in
   List.iter
     (fun (label, mk) ->
       let reference =
         let cfg, net = mk () in
-        Lts.explore ~max_states cfg net
+        interpreted cfg net
       in
       let ref_dot = Lts.to_dot reference in
-      (* interpreted: fresh configuration per run, like one CLI call *)
+      (* cold sides: fresh configuration per run, like one CLI call *)
       let interp_ms =
         best_of (fun () ->
             let cfg, net = mk () in
+            interpreted cfg net)
+      in
+      let vector_ms =
+        best_of (fun () ->
+            let cfg, net = mk () in
             Lts.explore ~max_states cfg net)
+      in
+      let vector_identical =
+        let cfg, net = mk () in
+        String.equal (Lts.to_dot (Lts.explore ~max_states cfg net)) ref_dot
       in
       (* compiled: one compile amortised over the explores *)
       let cfg, net = mk () in
@@ -1640,14 +1667,14 @@ let p13_compiled ?(smoke = false) () =
         best_of (fun () -> Lts.explore ~max_states ~compiled cfg net)
       in
       let lts = Lts.explore ~max_states ~compiled cfg net in
-      let identical = String.equal (Lts.to_dot lts) ref_dot in
+      let identical = vector_identical && String.equal (Lts.to_dot lts) ref_dot in
       let states = Lts.num_states lts in
       let sps ms =
         if ms > 0.0 then float_of_int states /. (ms /. 1000.0) else 0.0
       in
       let speedup = if compiled_ms > 0.0 then interp_ms /. compiled_ms else 1.0 in
-      result "  %-18s %8d %8d %10.1f %10.1f %10.2f %7.1fx %12.0f %12.0f\n"
-        label states (Lts.num_transitions lts) interp_ms
+      result "  %-18s %8d %8d %10.1f %10.1f %10.1f %10.2f %7.1fx %12.0f %12.0f\n"
+        label states (Lts.num_transitions lts) interp_ms vector_ms
         (Compiled.compile_ms compiled)
         compiled_ms speedup (sps interp_ms) (sps compiled_ms);
       rows :=
@@ -1656,6 +1683,7 @@ let p13_compiled ?(smoke = false) () =
           p13_states = states;
           p13_transitions = Lts.num_transitions lts;
           p13_interp_ms = interp_ms;
+          p13_vector_ms = vector_ms;
           p13_compile_ms = Compiled.compile_ms compiled;
           p13_compiled_ms = compiled_ms;
           p13_speedup = speedup;
@@ -1666,7 +1694,9 @@ let p13_compiled ?(smoke = false) () =
         }
         :: !rows)
     workloads;
-  write_p13_json "BENCH_compiled.json" (List.rev !rows);
+  write_p13_json "BENCH_compiled.json"
+    ~host_domains:(Domain.recommended_domain_count ())
+    (List.rev !rows);
   result "  wrote BENCH_compiled.json\n"
 
 (* ---------------------------------------------------------------------- *)

@@ -377,8 +377,7 @@ let cmd_graph path name max_states nat_bound output jobs use_compiled abstract
   in
   let t1 = Obs.now_ns () in
   let lts =
-    Lts.explore ~max_states ?pool:(Engine.pool eng) ?compiled
-      (Engine.step_config eng) p
+    Lts.explore ~max_states ?compiled (Engine.step_config eng) p
   in
   report_phase_ms telemetry "graph"
     ~compile_ms:((t1 -. t0) /. 1e6)
@@ -441,7 +440,7 @@ let cmd_refine path impl spec depth nat_bound weak jobs use_compiled telemetry =
       else None
     in
     let t1 = Obs.now_ns () in
-    let bisimilar = Bisim.weak_equivalent ?pool:(Engine.pool eng) ?compiler cfg p q in
+    let bisimilar = Bisim.weak_equivalent ?compiler cfg p q in
     report_phase_ms telemetry "refine"
       ~compile_ms:((t1 -. t0) /. 1e6)
       ~run_label:"check"
@@ -698,8 +697,9 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for parallel exploration/fuzzing (results are \
-              identical to -j 1; only wall-clock changes)")
+        ~doc:"Worker domains for sharded fuzzing and serve workers; \
+              exploration runs on one domain (results are identical to \
+              -j 1; only wall-clock changes)")
 
 let compiled_arg =
   Arg.(
@@ -714,8 +714,8 @@ let compiled_arg =
                     this flag." );
           ( false,
             info [ "no-compiled" ]
-              ~doc:"Force the tree-walking interpreter; results are \
-                    byte-identical, only slower." );
+              ~doc:"Explore on a fresh table, without a compile pass; \
+                    results are byte-identical." );
         ])
 
 (* One shared telemetry term, appended to every subcommand. *)

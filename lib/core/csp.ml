@@ -39,6 +39,7 @@ module Failures = Csp_semantics.Failures
 module Lts = Csp_semantics.Lts
 module Bisim = Csp_semantics.Bisim
 module Compiled = Csp_semantics.Compiled
+module Vector = Csp_semantics.Vector
 
 (* Assertions (§2) *)
 module Afun = Csp_assertion.Afun

@@ -26,7 +26,9 @@ let item_equal a b =
   | Base n1, Base n2 -> String.equal n1 n2
   | (Chan _ | Family _ | Base _), _ -> false
 
-let equal a b = List.length a = List.length b && List.for_all2 item_equal a b
+let equal a b =
+  a == b || (List.length a = List.length b && List.for_all2 item_equal a b)
+
 let of_channels cs = List.map (fun c -> Chan (Chan_expr.of_channel c)) cs
 let of_names ns = List.map (fun n -> Chan (Chan_expr.simple n)) ns
 let bases ns = List.map (fun n -> Base n) ns

@@ -30,7 +30,6 @@ val minimise : Lts.t -> Lts.t
 
 val equivalent :
   ?max_states:int ->
-  ?pool:Csp_parallel.Pool.t ->
   ?compiler:(Csp_lang.Process.t -> Compiled.t) ->
   Step.config ->
   Csp_lang.Process.t ->
@@ -40,8 +39,7 @@ val equivalent :
     exploration?  Computed by exploring the disjoint union and asking
     whether the two initial states fall into the same class.  (Both
     explorations must be complete for the answer to be meaningful; the
-    function returns [false] when either is truncated.)  A multi-domain
-    [pool] parallelises the two explorations' layer expansions.  A
+    function returns [false] when either is truncated.)  A
     [compiler] (typically [Engine.compile eng]) routes each side's
     exploration through its compiled successor automaton; the answer
     is unchanged, only the wall-clock. *)
@@ -59,7 +57,6 @@ val weak_classes : Lts.t -> partition
 
 val weak_equivalent :
   ?max_states:int ->
-  ?pool:Csp_parallel.Pool.t ->
   ?compiler:(Csp_lang.Process.t -> Compiled.t) ->
   Step.config ->
   Csp_lang.Process.t ->

@@ -194,8 +194,8 @@ let subset_tbl : bool Memo.t = Memo.create 1024
 (* During a parallel phase (bracketed by the pool's phase hooks) the
    shared compute tables are frozen read-only: every domain reads them
    without a lock and writes fresh results into its own arena — a
-   private mirror of the four tables plus local hit/miss counters —
-   generalizing [Step.view]'s overlay pattern.  At the phase exit
+   private mirror of the four tables plus local hit/miss counters.
+   At the phase exit
    (every worker quiescent) the arenas are flushed into the shared
    tables add-if-absent and reset, so the next phase (or sequential
    code) sees every result computed anywhere.

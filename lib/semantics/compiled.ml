@@ -1,6 +1,5 @@
 module Event = Csp_trace.Event
 module Proc = Csp_lang.Proc
-module Pool = Csp_parallel.Pool
 module Obs = Csp_obs.Obs
 
 let compiles = Obs.Counter.make "compiled.compiles"
@@ -11,32 +10,26 @@ let compile_timer = Obs.Timer.make "compiled.compile"
 
 module Int_tbl = Hashtbl.Make (Int)
 
-module Event_tbl = Hashtbl.Make (struct
-  type t = Event.t
-
-  let equal = Event.equal
-  let hash = Event.hash
-end)
-
 (* The flat automaton.  State ids are dense ints in BFS discovery
    order from the root; successor rows live in one shared packed pool
    (CSR layout: [row_off]/[row_len] slice [pk_*]).  [row_off.(s) = -1]
    marks a state whose row is not materialised yet.  All arrays are
-   amortised-doubling growable (OCaml 5.1 has no Dynarray). *)
+   amortised-doubling growable (OCaml 5.1 has no Dynarray).  Event ids
+   are the {!Vector} context's. *)
 type t = {
   cfg : Step.config;
   mutable nodes : Proc.t array;  (* state id -> interned node *)
   mutable n_states : int;
   cid_of : int Int_tbl.t;  (* node id -> state id *)
+  vec : Vector.t;
+  vid_of : int Vector.Tbl.t;  (* canonical form -> state id *)
+  mutable vecs : Vector.state option array;  (* state id -> canonical form *)
   mutable row_off : int array;
   mutable row_len : int array;
   mutable pk_event : int array;
   mutable pk_target : int array;
   mutable pk_visible : Bytes.t;
   mutable pk_len : int;
-  mutable events : Event.t array;
-  mutable n_events : int;
-  eid_of : int Event_tbl.t;
   mutable n_fallbacks : int;
   mutable ms : float;
 }
@@ -45,7 +38,7 @@ let root t = t.nodes.(0)
 let config t = t.cfg
 let n_states t = t.n_states
 let n_transitions t = t.pk_len
-let n_events t = t.n_events
+let n_events t = Vector.n_events t.vec
 let fallbacks t = t.n_fallbacks
 let compile_ms t = t.ms
 
@@ -65,7 +58,8 @@ let ensure_states t n =
   if n > Array.length t.nodes then begin
     t.nodes <- grow_int t.nodes n t.nodes.(0);
     t.row_off <- grow_int t.row_off n (-1);
-    t.row_len <- grow_int t.row_len n 0
+    t.row_len <- grow_int t.row_len n 0;
+    t.vecs <- grow_int t.vecs n None
   end
 
 let ensure_pool t n =
@@ -76,17 +70,6 @@ let ensure_pool t n =
     Bytes.blit t.pk_visible 0 b 0 t.pk_len;
     t.pk_visible <- b
   end
-
-let intern_event t e =
-  match Event_tbl.find_opt t.eid_of e with
-  | Some i -> i
-  | None ->
-    let i = t.n_events in
-    if i >= Array.length t.events then t.events <- grow_int t.events (i + 1) e;
-    t.events.(i) <- e;
-    Event_tbl.add t.eid_of e i;
-    t.n_events <- i + 1;
-    i
 
 let intern_state t (q : Proc.t) =
   match Int_tbl.find_opt t.cid_of (Proc.id q) with
@@ -101,39 +84,78 @@ let intern_state t (q : Proc.t) =
     t.n_states <- s + 1;
     s
 
-(* Pack one state's transition list.  Target interning may assign
-   fresh ids (and grow the state arrays); event/visibility/target go
-   into parallel pools so the row is three cache-friendly int walks at
-   query time. *)
-let append_row t s ts =
-  let len = List.length ts in
+(* The canonical form of a state: recorded when the state was reached
+   through a vector row, else decomposed once from its node. *)
+let vector_of t s =
+  match t.vecs.(s) with
+  | Some v -> v
+  | None ->
+    let v = Vector.decompose t.vec t.nodes.(s) in
+    t.vecs.(s) <- Some v;
+    Vector.Tbl.replace t.vid_of v s;
+    v
+
+(* A vector-row target of source [src]: a table lookup; the [Proc.t]
+   is built once, when the state is new, sharing [src]'s subterms. *)
+let intern_vector t (src, u) v =
+  match Vector.Tbl.find_opt t.vid_of v with
+  | Some s -> s
+  | None ->
+    let s = intern_state t (Vector.build ~like:(src, u) v) in
+    t.vecs.(s) <- Some v;
+    Vector.Tbl.add t.vid_of v s;
+    s
+
+(* Pack one state's row of (event id, visibility, target id) triples
+   into the parallel pools, so the row is three cache-friendly int
+   walks at query time. *)
+let append_row t s row =
+  let len = List.length row in
   ensure_pool t (t.pk_len + len);
   t.row_off.(s) <- t.pk_len;
   t.row_len.(s) <- len;
   List.iter
-    (fun (e, vis, q') ->
+    (fun (eid, vis, target) ->
       let k = t.pk_len in
-      t.pk_event.(k) <- intern_event t e;
-      t.pk_target.(k) <- intern_state t q';
+      t.pk_event.(k) <- eid;
+      t.pk_target.(k) <- target;
       Bytes.set t.pk_visible k
         (match (vis : Step.visibility) with
         | Step.Visible -> '\001'
         | Step.Hidden -> '\000');
       t.pk_len <- k + 1)
-    ts
+    row
+
+(* The row source of the loop: [successors] when given (a function of
+   the state alone, on its node), else the state's vector row.  Target
+   ids are assigned in row order either way. *)
+let row_source ?successors t =
+  match successors with
+  | Some get ->
+    fun s ->
+      append_row t s
+        (List.map
+           (fun (e, vis, q) -> (Vector.event_id t.vec e, vis, intern_state t q))
+           (get t.nodes.(s)))
+  | None ->
+    fun s ->
+      let u = vector_of t s in
+      let src = (t.nodes.(s), u) in
+      append_row t s
+        (List.map
+           (fun (eid, vis, v) -> (eid, vis, intern_vector t src v))
+           (Vector.successors t.vec u))
 
 (* A row materialised after {!compile} returned: a fallback, and the
    ids it assigns are compiled states too. *)
-let append_fallback t s ts =
+let as_fallback t row s =
   t.n_fallbacks <- t.n_fallbacks + 1;
   Obs.Counter.incr fallback_rows;
   let before = t.n_states in
-  append_row t s ts;
+  row s;
   Obs.Counter.add states_compiled (t.n_states - before)
 
-let materialise t s =
-  if t.row_off.(s) < 0 then
-    append_fallback t s (Step.transitions_i t.cfg t.nodes.(s))
+let materialise t s = if t.row_off.(s) < 0 then as_fallback t (row_source t) s
 
 let create cfg (root : Proc.t) =
   let t =
@@ -142,15 +164,15 @@ let create cfg (root : Proc.t) =
       nodes = Array.make 64 root;
       n_states = 0;
       cid_of = Int_tbl.create 64;
+      vec = Vector.create cfg;
+      vid_of = Vector.Tbl.create 64;
+      vecs = Array.make 64 None;
       row_off = Array.make 64 (-1);
       row_len = Array.make 64 0;
       pk_event = Array.make 256 0;
       pk_target = Array.make 256 0;
       pk_visible = Bytes.make 256 '\000';
       pk_len = 0;
-      events = Array.make 16 (Event.vi "compiled-sentinel" 0);
-      n_events = 0;
-      eid_of = Event_tbl.create 16;
       n_fallbacks = 0;
       ms = 0.0;
     }
@@ -234,7 +256,7 @@ let project t (order, n, visited) =
       if j >= 0 then
         transitions :=
           ( i,
-            t.events.(t.pk_event.(k)),
+            Vector.event t.vec t.pk_event.(k),
             Bytes.get t.pk_visible k <> '\000',
             j )
           :: !transitions
@@ -249,55 +271,25 @@ let project t (order, n, visited) =
     raw_truncated = truncated;
   }
 
-(* Rows the table lacks come from [successors] when given, else from
-   the interpreter — at more than one domain through a speculative
-   {!Frontier} session, opened at the first missing row, so a replay
-   over rows that all exist never starts one.  [cap] bounds what
-   speculation may claim. *)
-let with_successors ?pool ?successors ~cap t f =
-  match (successors, pool) with
-  | Some get, _ -> f get
-  | None, Some pool when Pool.domains pool > 1 ->
-    let session = ref None in
-    let get q =
-      let fs =
-        match !session with
-        | Some fs -> fs
-        | None ->
-          let fs = Frontier.start ~pool ~cap t.cfg in
-          session := Some fs;
-          Frontier.prefetch fs q;
-          fs
-      in
-      Frontier.get fs q
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Frontier.stop !session)
-      (fun () -> f get)
-  | None, _ -> f (Step.transitions_i t.cfg)
-
-let run ~max_states ?pool ?successors ~fallback t =
-  with_successors ?pool ?successors ~cap:max_states t @@ fun get ->
-  let row s =
-    let ts = get t.nodes.(s) in
-    if fallback then append_fallback t s ts else append_row t s ts
-  in
+let run ~max_states ?successors ~fallback t =
+  let row = row_source ?successors t in
+  let row = if fallback then as_fallback t row else row in
   project t (bfs ~max_states ~count:true ~row t)
 
-let explore ?(max_states = 2000) ?pool ?successors cfg root =
+let explore ?(max_states = 2000) ?successors cfg root =
   Obs.span ~cat:"explore" "explore"
     ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-  @@ fun () -> run ~max_states ?pool ?successors ~fallback:false (create cfg root)
+  @@ fun () -> run ~max_states ?successors ~fallback:false (create cfg root)
 
-let explore_raw ?(max_states = 2000) ?pool t =
+let explore_raw ?(max_states = 2000) t =
   Obs.span ~cat:"explore" "explore-compiled"
     ~args:(fun () -> [ ("max_states", Obs.Int max_states) ])
-  @@ fun () -> run ~max_states ?pool ~fallback:true t
+  @@ fun () -> run ~max_states ~fallback:true t
 
 (* A compile is the same loop run to [budget] states without counting
    as an exploration: it materialises the rows of the first [budget]
    states in BFS order, and assigns ids to their targets. *)
-let compile ?(budget = 200_000) ?pool cfg p =
+let compile ?(budget = 200_000) cfg p =
   Obs.Counter.incr compiles;
   Obs.span ~cat:"compiled" "compile"
     ~args:(fun () -> [ ("budget", Obs.Int budget) ])
@@ -305,11 +297,7 @@ let compile ?(budget = 200_000) ?pool cfg p =
   let t0 = Obs.now_ns () in
   let t = create cfg (Proc.intern p) in
   if budget > 0 then
-    with_successors ?pool ~cap:budget t (fun get ->
-        ignore
-          (bfs ~max_states:budget ~count:false
-             ~row:(fun s -> append_row t s (get t.nodes.(s)))
-             t));
+    ignore (bfs ~max_states:budget ~count:false ~row:(row_source t) t);
   Obs.Counter.add states_compiled t.n_states;
   let ms = (Obs.now_ns () -. t0) /. 1e6 in
   t.ms <- ms;
@@ -321,7 +309,7 @@ let row_transitions t s =
   let off = t.row_off.(s) in
   List.init t.row_len.(s) (fun i ->
       let k = off + i in
-      ( t.events.(t.pk_event.(k)),
+      ( Vector.event t.vec t.pk_event.(k),
         (if Bytes.get t.pk_visible k = '\000' then Step.Hidden
          else Step.Visible),
         t.nodes.(t.pk_target.(k)) ))

@@ -27,33 +27,35 @@
     transitions, truncation and DOT output are byte-identical whichever
     entry point, compile budget or domain count produced them.
 
+    {b Row source.}  Rows come from {!Vector}: a state is its
+    canonical form (skeleton plus leaf vector), a row is derived by
+    walking the skeleton and asking the interpreter only for leaf rows,
+    and a target is looked up by its canonical form in a table kept in
+    the [t] — its [Proc.t] is built once, when the state is new.  The
+    rows equal [Step.transitions_i] on the state, transition for
+    transition.  Leaf rows go through the configuration's
+    [trans_cache], so a compile warms it with component rows only;
+    queries on whole states through the same configuration
+    ([Sat.check_engine], [Infer]) derive those rows themselves.
+
     {b Fallback contract}: states beyond the compile [budget] (or
     reached only under a larger [max_states] than the compile saw) are
-    materialised lazily back through the interpreter
-    ({!Step.transitions_i}, or a speculative {!Frontier} session at
-    more than one domain) the first time they are expanded; the
-    [compiled.fallbacks] counter counts such rows.  Since rows are
-    derived by the same [Step] functions the interpreter uses —
-    sharing its [trans_cache] — one compile also warms the caches
-    every later query through the same configuration reuses
-    ([Sat.check_engine], [Infer], [Runner]).
+    materialised lazily, through the same row source, the first time
+    they are expanded; the [compiled.fallbacks] counter counts such
+    rows.
 
     A [t] is mutable (lazy materialisation) and must not be shared
-    between domains; the internal [?pool] path coordinates its own
-    parallelism and appends rows from the calling domain only. *)
+    between domains. *)
 
 type t
 
-val compile :
-  ?budget:int -> ?pool:Csp_parallel.Pool.t -> Step.config -> Csp_lang.Process.t -> t
+val compile : ?budget:int -> Step.config -> Csp_lang.Process.t -> t
 (** One-shot compile: the exploration loop run to [budget] states
     (default [200_000]), materialising the successor rows of the first
     [budget] states in BFS order.  Discovered targets beyond the budget
-    get ids but no rows (materialised lazily on demand).  With a
-    multi-domain [pool], rows are derived through a speculative
-    {!Frontier} session.  Telemetry: [compiled.compiles],
-    [compiled.states], [compiled.compile_ms] and a ["compile"] span;
-    a compile does not count towards [lts.*]. *)
+    get ids but no rows (materialised lazily on demand).  Telemetry:
+    [compiled.compiles], [compiled.states], [compiled.compile_ms] and a
+    ["compile"] span; a compile does not count towards [lts.*]. *)
 
 val root : t -> Csp_lang.Proc.t
 (** The interned root the automaton was compiled from. *)
@@ -106,7 +108,6 @@ type raw = {
 
 val explore :
   ?max_states:int ->
-  ?pool:Csp_parallel.Pool.t ->
   ?successors:
     (Csp_lang.Proc.t ->
     (Csp_trace.Event.t * Step.visibility * Csp_lang.Proc.t) list) ->
@@ -115,11 +116,11 @@ val explore :
   raw
 (** The exploration loop on a fresh table rooted at the given state
     (default bound: 2000 states).  Rows are derived by [successors]
-    when given (it must be a function of the state alone), otherwise
-    by [Step.transitions_i] on the configuration — through a
-    {!Frontier} session when [pool] has more than one domain. *)
+    when given (it must be a function of the state alone; the counter
+    abstraction's, or [Step.transitions_i] as the interpreter
+    reference), otherwise by the {!Vector} row source. *)
 
-val explore_raw : ?max_states:int -> ?pool:Csp_parallel.Pool.t -> t -> raw
+val explore_raw : ?max_states:int -> t -> raw
 (** The exploration loop replayed over a compiled table: rows the
     table has are array walks; rows it lacks are fallbacks (see the
     module description).  The result equals {!explore} on the

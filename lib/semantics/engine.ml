@@ -89,7 +89,7 @@ let compile ?budget t p =
     c
   | None ->
     Obs.Counter.incr compile_misses;
-    let c = Compiled.compile ?budget ?pool:(pool t) t.step p in
+    let c = Compiled.compile ?budget t.step p in
     Hashtbl.add t.compiled (Proc.id root) c;
     c
 

@@ -51,16 +51,16 @@ val create :
     [hide_extra = 8].  [nat_bound n] is shorthand for
     [~sampler:(Sampler.nat_bound n)] and wins over an explicit
     [sampler].  [domains] > 1 makes {!pool} hand out a shared domain
-    pool for parallel exploration and sharded fuzzing; results are
-    unaffected (parallel pipelines are deterministic), only wall-clock
-    changes. *)
+    pool; results are unaffected (parallel pipelines are
+    deterministic), only wall-clock changes.  Exploration and
+    compilation run on the calling domain and do not use it. *)
 
 val step_config : t -> Step.config
 val denote_config : t -> Denote.config
 
 val pool : t -> Csp_parallel.Pool.t option
 (** The engine's domain pool, for threading into [?pool] parameters
-    ({!Lts.explore}, {!Bisim.equivalent}, …).  [None] when the engine
+    ({!Lts.explore} accepts one and ignores it).  [None] when the engine
     was created with [domains = 1]; otherwise the pool, spawning its
     worker domains on first use and shared across every query (and
     every {!with_depth}/{!with_seed} copy) of this engine. *)
@@ -84,7 +84,7 @@ val compile : ?budget:int -> t -> Csp_lang.Process.t -> Compiled.t
     {!Lts.explore}/[Runner]/[Sat] query through the same engine.
     [budget] bounds the states materialised eagerly (see
     {!Compiled.compile}); it only takes effect on the compiling
-    call.  The compile derives its rows through the engine's {!pool}. *)
+    call.  Rows come from {!Vector} on the calling domain. *)
 
 val compiled_count : t -> int
 (** Automata in this engine's compile cache (shared with its

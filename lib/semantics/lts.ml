@@ -55,13 +55,13 @@ let of_raw (r : Compiled.raw) =
   }
 
 (* Without a matching automaton the loop runs on a fresh table. *)
-let explore ?(max_states = 2000) ?pool ?compiled cfg p =
+let explore ?(max_states = 2000) ?pool:_ ?compiled cfg p =
   let p = Proc.intern p in
   of_raw
     (match compiled with
     | Some c when Proc.equal (Compiled.root c) p ->
-      Compiled.explore_raw ~max_states ?pool c
-    | _ -> Compiled.explore ~max_states ?pool cfg p)
+      Compiled.explore_raw ~max_states c
+    | _ -> Compiled.explore ~max_states cfg p)
 
 let num_states t = Array.length t.states
 let num_transitions t = t.n_transitions

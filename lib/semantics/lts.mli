@@ -9,13 +9,9 @@
     [cspc graph]).
 
     Exploration is the one FIFO loop of {!Compiled}, in BFS discovery
-    order.  Handing {!explore} a multi-domain {!Csp_parallel.Pool.t}
-    turns the pool's workers into a work-stealing speculation fleet
-    ({!Frontier}): they derive per-state transition lists ahead of the
-    coordinator, which runs the sequential loop consuming their
-    results — so the resulting system (state numbering, transition
-    list, truncation and DOT output) is byte-identical whatever the
-    domain count. *)
+    order, over {!Vector} rows.  It runs on the calling domain, so the
+    resulting system (state numbering, transition list, truncation and
+    DOT output) is the same whatever the domain count. *)
 
 type state = int
 
@@ -66,18 +62,15 @@ val explore :
     recursive definition that returns to its defining equation yields a
     finite cyclic graph.  The first [max_states] states in discovery
     order are kept, with exactly the transitions between them; a kept
-    state with a transition to a dropped state is [truncated].  With a
-    multi-domain [pool], workers speculatively derive transition lists
-    through a work-stealing frontier while the coordinator runs the
-    sequential loop; the result is byte-identical to the sequential
-    exploration (see the module description).
+    state with a transition to a dropped state is [truncated].
+    Exploration no longer uses [pool]: the argument is accepted for
+    existing callers and ignored.
 
     When [compiled] is an automaton for the same root process (see
     {!Compiled.compile}, {!Engine.compile}), the loop replays over its
     flat successor tables — byte-identical output (numbering,
-    transitions, truncation, DOT) at any domain count, with states
-    beyond the compile budget materialised lazily through the
-    interpreter.  The automaton must have been compiled with the same
+    transitions, truncation, DOT), with states beyond the compile
+    budget materialised lazily through the same row source.  The automaton must have been compiled with the same
     configuration; a [compiled] whose root is a different process is
     ignored and the loop runs on a fresh table. *)
 

@@ -57,8 +57,9 @@ let config ?(sampler = Sampler.default) ?(unfold_fuel = 64) ?(hide_fuel = 16)
 
 exception Unproductive of string
 
-(* Cache counters, aggregated by [Engine.stats].  [Atomic] because the
-   domain-local views below flush their tallies from worker domains. *)
+(* Cache counters, aggregated by [Engine.stats].  [Atomic] because
+   configurations on several domains (fuzz jobs, serve workers) count
+   into the same totals. *)
 let unfold_hits = Atomic.make 0
 let unfold_misses = Atomic.make 0
 let trans_hits = Atomic.make 0
@@ -111,17 +112,11 @@ let unfold_i cfg n arg =
     Unfold_tbl.add cfg.unfold_cache (n, arg) q;
     q
 
-(* The derivation functions below are parameterised over [unfold] so
-   the same code serves two cache disciplines: the sequential path
-   writes the shared per-config tables directly ([unfold_i]), the
-   parallel path goes through a domain-local view that treats the
-   shared tables as read-only ([unfold_view]). *)
-
 (* Continuations of [p] after engaging in exactly the visible event [e].
    Unlike the transition enumeration below, inputs accept any value of
    their declared set — the passive side of a synchronisation must not
    be restricted to sampled values. *)
-let rec sync_on unfold fuel (e : Event.t) p : Proc.t list =
+let rec sync_on cfg fuel (e : Event.t) p : Proc.t list =
   match Proc.node p with
   | Proc.Stop -> []
   | Proc.Output (c, ex, k) ->
@@ -134,30 +129,30 @@ let rec sync_on unfold fuel (e : Event.t) p : Proc.t list =
     if Csp_trace.Channel.equal (eval_chan c) e.chan && Csp_lang.Vset.mem m e.value
     then [ Proc.subst_value x e.value k ]
     else []
-  | Proc.Choice (p1, p2) -> sync_on unfold fuel e p1 @ sync_on unfold fuel e p2
+  | Proc.Choice (p1, p2) -> sync_on cfg fuel e p1 @ sync_on cfg fuel e p2
   | Proc.Par (xa, ya, p1, p2) ->
     let in_x = Chan_set.mem xa e.chan and in_y = Chan_set.mem ya e.chan in
     if in_x && in_y then
       List.concat_map
         (fun p1' ->
-          List.map (fun p2' -> Proc.par xa ya p1' p2') (sync_on unfold fuel e p2))
-        (sync_on unfold fuel e p1)
+          List.map (fun p2' -> Proc.par xa ya p1' p2') (sync_on cfg fuel e p2))
+        (sync_on cfg fuel e p1)
     else if in_x then
-      List.map (fun p1' -> Proc.par xa ya p1' p2) (sync_on unfold fuel e p1)
+      List.map (fun p1' -> Proc.par xa ya p1' p2) (sync_on cfg fuel e p1)
     else if in_y then
-      List.map (fun p2' -> Proc.par xa ya p1 p2') (sync_on unfold fuel e p2)
+      List.map (fun p2' -> Proc.par xa ya p1 p2') (sync_on cfg fuel e p2)
     else []
   | Proc.Hide (l, p1) ->
     (* events on concealed channels are not visible to the environment *)
     if Chan_set.mem l e.chan then []
-    else List.map (fun p1' -> Proc.hide l p1') (sync_on unfold fuel e p1)
+    else List.map (fun p1' -> Proc.hide l p1') (sync_on cfg fuel e p1)
   | Proc.Ref (n, arg) ->
     if fuel <= 0 then raise (Unproductive n)
-    else sync_on unfold (fuel - 1) e (unfold n arg)
+    else sync_on cfg (fuel - 1) e (unfold_i cfg n arg)
 
 (* Merge transition lists, unioning nothing: duplicates are removed per
    parallel node; the closure union deduplicates the rest. *)
-let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) list =
+let rec transitions_fuel cfg fuel p : (Event.t * visibility * Proc.t) list =
   match Proc.node p with
   | Proc.Stop -> []
   | Proc.Output (c, e, k) ->
@@ -168,10 +163,10 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
       (fun v -> (Event.make chan v, Visible, Proc.subst_value x v k))
       (Sampler.sample cfg.sampler m)
   | Proc.Choice (p1, p2) ->
-    transitions_fuel cfg unfold fuel p1 @ transitions_fuel cfg unfold fuel p2
+    transitions_fuel cfg fuel p1 @ transitions_fuel cfg fuel p2
   | Proc.Par (xa, ya, p1, p2) ->
-    let t1 = transitions_fuel cfg unfold fuel p1
-    and t2 = transitions_fuel cfg unfold fuel p2 in
+    let t1 = transitions_fuel cfg fuel p1
+    and t2 = transitions_fuel cfg fuel p2 in
     let left =
       List.concat_map
         (fun ((e : Event.t), vis, p1') ->
@@ -183,7 +178,7 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
                  the partner accepts any value of its declared input set *)
               List.map
                 (fun p2' -> (e, Visible, Proc.par xa ya p1' p2'))
-                (sync_on unfold fuel e p2)
+                (sync_on cfg fuel e p2)
             else [ (e, Visible, Proc.par xa ya p1' p2) ])
         t1
     in
@@ -196,7 +191,7 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
             if Chan_set.mem xa e.chan then
               List.map
                 (fun p1' -> (e, Visible, Proc.par xa ya p1' p2'))
-                (sync_on unfold fuel e p1)
+                (sync_on cfg fuel e p1)
             else [ (e, Visible, Proc.par xa ya p1 p2') ])
         t2
     in
@@ -217,10 +212,10 @@ let rec transitions_fuel cfg unfold fuel p : (Event.t * visibility * Proc.t) lis
       (fun ((e : Event.t), vis, p1') ->
         let vis = if Chan_set.mem l e.chan then Hidden else vis in
         (e, vis, Proc.hide l p1'))
-      (transitions_fuel cfg unfold fuel p1)
+      (transitions_fuel cfg fuel p1)
   | Proc.Ref (n, arg) ->
     if fuel <= 0 then raise (Unproductive n)
-    else transitions_fuel cfg unfold (fuel - 1) (unfold n arg)
+    else transitions_fuel cfg (fuel - 1) (unfold_i cfg n arg)
 
 (* Transitions always start from full fuel, so the state alone keys the
    memo (fuel only varies inside one derivation, through references). *)
@@ -231,97 +226,9 @@ let transitions_i cfg p =
     ts
   | None ->
     Atomic.incr trans_misses;
-    let ts = transitions_fuel cfg (unfold_i cfg) cfg.unfold_fuel p in
+    let ts = transitions_fuel cfg cfg.unfold_fuel p in
     Trans_tbl.add cfg.trans_cache (Proc.id p) ts;
     ts
-
-(* ---- domain-local cache views ---------------------------------------- *)
-
-(* A view lets a worker domain run [transitions] during a parallel
-   phase without writing the shared per-config tables: lookups go
-   shared-table-first (read-only — safe concurrently as long as nobody
-   writes), then to the local table, and fresh derivations land in the
-   local table only.  [merge_view], called by the coordinator at the
-   fork-join barrier while the workers are quiescent, folds the local
-   discoveries into the shared tables — so cache hits survive the
-   barrier and later layers (or later sequential queries) reuse them. *)
-type view = {
-  v_cfg : config;
-  v_unfold : Proc.t Unfold_tbl.t;
-  v_trans : (Event.t * visibility * Proc.t) list Trans_tbl.t;
-  mutable v_unfold_hits : int;
-  mutable v_unfold_misses : int;
-  mutable v_trans_hits : int;
-  mutable v_trans_misses : int;
-}
-
-let view cfg =
-  {
-    v_cfg = cfg;
-    v_unfold = Unfold_tbl.create 32;
-    v_trans = Trans_tbl.create 64;
-    v_unfold_hits = 0;
-    v_unfold_misses = 0;
-    v_trans_hits = 0;
-    v_trans_misses = 0;
-  }
-
-let unfold_view v n arg =
-  match Unfold_tbl.find_opt v.v_cfg.unfold_cache (n, arg) with
-  | Some q ->
-    v.v_unfold_hits <- v.v_unfold_hits + 1;
-    q
-  | None -> (
-    match Unfold_tbl.find_opt v.v_unfold (n, arg) with
-    | Some q ->
-      v.v_unfold_hits <- v.v_unfold_hits + 1;
-      q
-    | None ->
-      v.v_unfold_misses <- v.v_unfold_misses + 1;
-      let q = Proc.intern (Defs.unfold_ref v.v_cfg.defs Valuation.empty n arg) in
-      Unfold_tbl.add v.v_unfold (n, arg) q;
-      q)
-
-let transitions_view v p =
-  match Trans_tbl.find_opt v.v_cfg.trans_cache (Proc.id p) with
-  | Some ts ->
-    v.v_trans_hits <- v.v_trans_hits + 1;
-    ts
-  | None -> (
-    match Trans_tbl.find_opt v.v_trans (Proc.id p) with
-    | Some ts ->
-      v.v_trans_hits <- v.v_trans_hits + 1;
-      ts
-    | None ->
-      v.v_trans_misses <- v.v_trans_misses + 1;
-      let ts = transitions_fuel v.v_cfg (unfold_view v) v.v_cfg.unfold_fuel p in
-      Trans_tbl.add v.v_trans (Proc.id p) ts;
-      ts)
-
-let flush_count a n = if n > 0 then ignore (Atomic.fetch_and_add a n)
-
-let merge_view v =
-  let cfg = v.v_cfg in
-  Unfold_tbl.iter
-    (fun k q ->
-      if not (Unfold_tbl.mem cfg.unfold_cache k) then
-        Unfold_tbl.add cfg.unfold_cache k q)
-    v.v_unfold;
-  Trans_tbl.iter
-    (fun k ts ->
-      if not (Trans_tbl.mem cfg.trans_cache k) then
-        Trans_tbl.add cfg.trans_cache k ts)
-    v.v_trans;
-  Unfold_tbl.reset v.v_unfold;
-  Trans_tbl.reset v.v_trans;
-  flush_count unfold_hits v.v_unfold_hits;
-  flush_count unfold_misses v.v_unfold_misses;
-  flush_count trans_hits v.v_trans_hits;
-  flush_count trans_misses v.v_trans_misses;
-  v.v_unfold_hits <- 0;
-  v.v_unfold_misses <- 0;
-  v.v_trans_hits <- 0;
-  v.v_trans_misses <- 0
 
 let tau_reachable_i cfg p =
   let rec go budget acc p =
@@ -335,12 +242,12 @@ let tau_reachable_i cfg p =
   in
   go cfg.hide_fuel [] p
 
+let sync_on_i cfg e p = sync_on cfg cfg.unfold_fuel e p
+
 let after_i cfg p e =
   (* [sync_on] rather than a filter over [transitions]: the derivative
      must accept any declared input value, not only sampled ones. *)
-  List.concat_map
-    (fun q -> sync_on (unfold_i cfg) cfg.unfold_fuel e q)
-    (tau_reachable_i cfg p)
+  List.concat_map (sync_on_i cfg e) (tau_reachable_i cfg p)
 
 let rec accepts_trace_i cfg p = function
   | [] -> true

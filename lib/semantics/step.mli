@@ -62,6 +62,14 @@ val transitions_i :
     [chan L] are [Hidden]; input events enumerate sampler-chosen
     values. *)
 
+val sync_on_i :
+  config -> Csp_trace.Event.t -> Csp_lang.Proc.t -> Csp_lang.Proc.t list
+(** The continuations of the state after engaging in exactly the given
+    visible event — the passive side of a synchronisation: inputs
+    accept any value of their declared set, not only sampled ones.
+    Not memoised.
+    @raise Unproductive on unguarded recursion. *)
+
 val tau_reachable_i : config -> Csp_lang.Proc.t -> Csp_lang.Proc.t list
 val after_i :
   config -> Csp_lang.Proc.t -> Csp_trace.Event.t -> Csp_lang.Proc.t list
@@ -69,37 +77,6 @@ val after_i :
 val accepts_trace_i : config -> Csp_lang.Proc.t -> Csp_trace.Trace.t -> bool
 val is_deadlocked_i : config -> Csp_lang.Proc.t -> bool
 val traces_i : config -> depth:int -> Csp_lang.Proc.t -> Closure.t
-
-(** {1 Domain-local cache views} — for parallel exploration
-
-    The per-config caches are plain hashtables and must not be written
-    concurrently.  A {!view} lets a worker domain derive transitions
-    during a parallel phase without touching them: lookups consult the
-    shared tables first (read-only — safe while no domain writes), then
-    a private local table; fresh derivations are recorded locally.  At
-    the fork-join barrier, while the workers are quiescent, the
-    coordinator calls {!merge_view} on each view to fold the local
-    discoveries into the shared tables — cache hits survive the
-    barrier, and later layers or sequential queries reuse them. *)
-
-type view
-(** A domain-local overlay over one configuration's caches. *)
-
-val view : config -> view
-(** A fresh, empty view of [config]'s caches.  Create one per worker
-    domain per parallel phase (views are not themselves thread-safe). *)
-
-val transitions_view :
-  view -> Csp_lang.Proc.t ->
-  (Csp_trace.Event.t * visibility * Csp_lang.Proc.t) list
-(** Like {!transitions_i}, but misses populate the view's local table
-    instead of the shared [trans_cache]. *)
-
-val merge_view : view -> unit
-(** Fold the view's local discoveries into the shared caches and flush
-    its hit/miss counts into the global statistics, then reset the view
-    to empty.  Must only be called while no other domain is reading or
-    writing the underlying configuration's caches. *)
 
 (** {1 On the plain AST} — intern, compute, project back *)
 

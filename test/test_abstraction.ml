@@ -478,7 +478,7 @@ let prop_oracle_fuzz =
 
 (* ---- the CLI ------------------------------------------------------------ *)
 
-let cli = "../bin/cspc.exe"
+let cli = cspc_exe
 
 let run_cli args =
   let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in

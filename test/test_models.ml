@@ -45,7 +45,7 @@ let assert_deadlock_free ?(max_states = 20_000) defs network =
     domain_counts
 
 let assert_compiled_identical ?(max_states = 20_000) defs network =
-  let seq = Lts.explore ~max_states (cfg_of defs) network in
+  let seq = Test_support.interpreted ~max_states (cfg_of defs) network in
   let cfg = cfg_of defs in
   let compiled = Compiled.compile cfg network in
   let com = Lts.explore ~max_states ~compiled cfg network in

@@ -350,18 +350,23 @@ let test_snapshot_pins_instrument_keys () =
    the default compiled path of [cspc graph] (compile, then a replay of
    the loop over the automaton) equals the printed state count, as it
    does on the interpreted path, with or without a pool. *)
+let graph_stats args =
+  let cmd =
+    Filename.quote_command Test_support.cspc_exe ("graph" :: "--stats" :: args)
+    ^ " 2>&1"
+  in
+  let ic = Unix.open_process_in cmd in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  ignore (Unix.close_process_in ic);
+  fun fmt -> List.find_map (fun l -> Scanf.sscanf_opt l fmt Fun.id) lines
+
 let test_graph_stats_attribute_states () =
   let run args =
-    let cmd =
-      Filename.quote_command "../bin/cspc.exe"
-        ([ "graph"; "../examples/protocol.csp"; "-p"; "protocol"; "--stats" ]
+    let find =
+      graph_stats
+        ([ Test_support.in_test_dir "../examples/protocol.csp"; "-p"; "protocol" ]
         @ args)
-      ^ " 2>&1"
     in
-    let ic = Unix.open_process_in cmd in
-    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
-    ignore (Unix.close_process_in ic);
-    let find fmt = List.find_map (fun l -> Scanf.sscanf_opt l fmt Fun.id) lines in
     (find "lts.states = %d", find "%d states,")
   in
   List.iter
@@ -373,6 +378,32 @@ let test_graph_stats_attribute_states () =
       Alcotest.(check (option int)) (label ^ ": lts.states = printed states")
         printed counted)
     [ []; [ "--compiled"; "-j"; "2" ]; [ "--no-compiled" ] ]
+
+(* Vector rows hand only leaves to the interpreter: on workers-8 it
+   derives a few dozen component rows, where whole-state rows derived
+   one per global state (257).  [lts.states] keeps its meaning. *)
+let test_graph_stats_leaf_rows () =
+  let m = Models.Workers.make ~n:8 in
+  let file = Filename.temp_file "workers8" ".csp" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Csp_syntax.Printer.defs m.Models.Workers.defs);
+      Printf.fprintf oc "\nnet = %s\n"
+        (Csp_syntax.Printer.process m.Models.Workers.network));
+  let find =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () -> graph_stats [ file; "-p"; "net" ])
+  in
+  Alcotest.(check (option int)) "all 257 states explored" (Some 257)
+    (find "%d states,");
+  Alcotest.(check (option int)) "lts.states = printed states" (Some 257)
+    (find "lts.states = %d");
+  match find "step.trans_misses = %d" with
+  | Some misses ->
+    Alcotest.(check bool)
+      (Printf.sprintf "step.trans_misses %d < 50" misses)
+      true (misses < 50)
+  | None -> Alcotest.fail "--stats printed no step.trans_misses"
 
 (* ---- spans ------------------------------------------------------------ *)
 
@@ -539,6 +570,8 @@ let () =
             test_snapshot_pins_instrument_keys;
           Alcotest.test_case "graph --stats counts explored states" `Quick
             test_graph_stats_attribute_states;
+          Alcotest.test_case "graph --stats: leaf rows only" `Quick
+            test_graph_stats_leaf_rows;
         ] );
       ( "spans",
         [

@@ -1,5 +1,6 @@
-(* The multicore layer: domain-pool semantics, byte-identical parallel
-   LTS exploration, sharded fuzzing determinism, and the truncation
+(* The multicore layer: domain-pool semantics, LTS exploration that is
+   byte-identical whatever pool it is handed (it runs on the calling
+   domain), sharded fuzzing determinism, and the truncation
    bookkeeping that keeps deadlock reports honest on bounded
    explorations. *)
 
@@ -143,7 +144,7 @@ let test_deque_conservation_4_domains () =
   Alcotest.(check int) "nothing lost, nothing duplicated" n (List.length all);
   Alcotest.(check (list int)) "every item exactly once" (List.init n Fun.id) all
 
-(* ---- parallel exploration ≡ sequential exploration ------------------- *)
+(* ---- exploration handed a pool ≡ sequential exploration -------------- *)
 
 let lts_equal_seq (seq : Lts.t) (par : Lts.t) =
   Lts.num_states par = Lts.num_states seq
@@ -172,8 +173,8 @@ let explore_deterministic =
                  lts_equal_seq seq par))
            domain_counts))
 
-(* The interesting parallel case — frontiers wide enough to actually
-   chunk — hit deterministically, not only when the generator obliges. *)
+(* A wide state space, hit deterministically, not only when the
+   generator obliges. *)
 let test_explore_philosophers_identical () =
   let ph = Paper.Philosophers.make ~n:3 ~left_handed_last:false () in
   let fresh_cfg () =

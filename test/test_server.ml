@@ -40,7 +40,7 @@ let error_kind resp =
 
 (* ---- the real binary --------------------------------------------------- *)
 
-let cli = "../bin/cspc.exe"
+let cli = Test_support.cspc_exe
 
 let run_cli args =
   let cmd = Filename.quote_command cli args ^ " 2>/dev/null" in
@@ -82,10 +82,14 @@ let with_temp_source source f =
 let refine_ok_source = "impl = a!0 -> impl\nspec = a!0 -> spec | b!0 -> spec\n"
 let refine_fail_source = "impl = a!0 -> b!0 -> impl\nspec = a!0 -> spec\n"
 
-let protocol_source = slurp "../examples/protocol.csp"
-let copier_source = slurp "corpus/prover-sound-copier.csp"
-let ring_source = slurp "corpus/closure-kernel-token-ring.csp"
-let window_source = slurp "corpus/op-vs-deno-sliding-window.csp"
+let protocol_source = slurp (Test_support.in_test_dir "../examples/protocol.csp")
+let copier_source = slurp (Test_support.in_test_dir "corpus/prover-sound-copier.csp")
+
+let ring_source =
+  slurp (Test_support.in_test_dir "corpus/closure-kernel-token-ring.csp")
+
+let window_source =
+  slurp (Test_support.in_test_dir "corpus/op-vs-deno-sliding-window.csp")
 
 (* Each case: the server request and the equivalent one-shot command
    line.  The assertion is bytes-for-bytes equality of the server's

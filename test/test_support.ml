@@ -5,6 +5,19 @@ open Csp
 let ev name v : Event.t = Event.v name (Value.Int v)
 let evs name v = Event.make (Channel.simple name) (Value.Sym v)
 
+(* ---- paths ---------------------------------------------------------- *)
+
+(* A file of the build tree named relative to the test directory.  dune
+   runs the suites from [_build/default/test], [dune exec test/x.exe]
+   runs them from wherever it is invoked, so resolve against the
+   executable's own directory, never the working directory. *)
+let in_test_dir rel =
+  Filename.concat (Filename.dirname Sys.executable_name) rel
+
+(* The [cspc] binary the CLI cases drive (a dependency of the test
+   rule, so it is built next to the suites). *)
+let cspc_exe = in_test_dir "../bin/cspc.exe"
+
 (* ---- Alcotest testables ------------------------------------------- *)
 
 let trace_testable = Alcotest.testable Trace.pp Trace.equal
@@ -159,3 +172,12 @@ let history_of_pairs pairs =
     (fun h (c, vs) ->
       History.set h (Channel.simple c) (List.map (fun n -> Value.Int n) vs))
     History.empty pairs
+
+(* The interpreter reference for explorer differentials: the one BFS
+   loop with every row taken from [Step.transitions_i] on the whole
+   state, instead of from the vector source. *)
+let interpreted_raw ?(max_states = 2000) cfg p =
+  Compiled.explore ~max_states ~successors:(Step.transitions_i cfg) cfg
+    (Proc.intern p)
+
+let interpreted ?max_states cfg p = Lts.of_raw (interpreted_raw ?max_states cfg p)
